@@ -17,6 +17,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/fabric"
+	"repro/internal/fib"
+	"repro/internal/rib"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -377,6 +379,108 @@ func BenchmarkAblationExplorationOrder(b *testing.B) {
 				secs = res.Duration.Seconds()
 			}
 			b.ReportMetric(secs, "sim-s/run")
+		})
+	}
+}
+
+// layerSizes are the fabrics the per-layer benchmarks run at: small
+// (208 nodes), medium (512) and large (2048 nodes, 10720 links).
+var layerSizes = []string{"8-port 3-tree", "dragonfly 8x32", "dragonfly 16x64"}
+
+// discoveredDBs caches one Parallel discovery per fabric, so the layer
+// benchmarks time their layer and not the discovery that feeds it.
+var discoveredDBs = map[string]*core.DB{}
+
+// discoveredDB returns the topology database of a full discovery of the
+// named fabric.
+func discoveredDB(b *testing.B, name string) *core.DB {
+	b.Helper()
+	if db, ok := discoveredDBs[name]; ok {
+		return db
+	}
+	tp, err := topo.ByName(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := sim.NewEngine()
+	f, err := fabric.New(e, tp, fabric.Config{}, sim.NewRNG(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := core.NewManager(f, f.Device(tp.Endpoints()[0]), core.Options{Algorithm: core.Parallel})
+	m.StartDiscovery()
+	e.Run()
+	db := m.DB()
+	if db.NumNodes() != len(tp.Nodes) || db.NumLinks() != len(tp.Links) {
+		b.Fatalf("%s: discovered %d/%d devices/links of %d/%d", name,
+			db.NumNodes(), db.NumLinks(), len(tp.Nodes), len(tp.Links))
+	}
+	discoveredDBs[name] = db
+	return db
+}
+
+// BenchmarkDBLinkAt measures the FM's per-port-probe database query: one
+// op looks up every port of every discovered device.
+func BenchmarkDBLinkAt(b *testing.B) {
+	for _, name := range layerSizes {
+		b.Run(name, func(b *testing.B) {
+			db := discoveredDB(b, name)
+			nodes := db.Nodes()
+			lookups := 0
+			for _, n := range nodes {
+				lookups += n.Ports
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				found := 0
+				for _, n := range nodes {
+					for p := 0; p < n.Ports; p++ {
+						if _, ok := db.LinkAt(n.DSN, p); ok {
+							found++
+						}
+					}
+				}
+				if found != 2*db.NumLinks() {
+					b.Fatalf("found %d cabled ports, want %d", found, 2*db.NumLinks())
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lookups), "ns/lookup")
+		})
+	}
+}
+
+// BenchmarkFIBDerive measures deriving the forwarding state (every
+// device's source route and event route) from one discovered database.
+func BenchmarkFIBDerive(b *testing.B) {
+	for _, name := range layerSizes {
+		b.Run(name, func(b *testing.B) {
+			db := discoveredDB(b, name)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if t := fib.Derive(db); len(t.Routes) != db.NumNodes()-1 {
+					b.Fatalf("routed %d of %d devices", len(t.Routes), db.NumNodes()-1)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkInstall measures the serving layer's install of a fresh
+// discovery into an empty RIB: clone, FIB derive, leaf encode and diff.
+func BenchmarkInstall(b *testing.B) {
+	for _, name := range layerSizes {
+		b.Run(name, func(b *testing.B) {
+			db := discoveredDB(b, name)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, d := rib.New(rib.Config{}).Install(db); len(d.AddedLinks) != db.NumLinks() {
+					b.Fatalf("install added %d of %d links", len(d.AddedLinks), db.NumLinks())
+				}
+			}
 		})
 	}
 }

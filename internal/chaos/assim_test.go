@@ -200,6 +200,9 @@ func FuzzCoalesce(f *testing.F) {
 		if n := m.AssimPending(); n != 0 {
 			t.Fatalf("%d reports stranded in the debounce window after full drain", n)
 		}
+		if err := m.DB().Check(); err != nil {
+			t.Fatalf("database structure at quiescence: %v", err)
+		}
 		// A run defeated by a timeout (a request in flight to a switch
 		// that died under it) may have truncated the database; a clean
 		// audit over the restored, loss-free fabric must repair it.
@@ -225,6 +228,9 @@ func FuzzCoalesce(f *testing.F) {
 			if !reach[n.DSN] {
 				t.Fatalf("node %v unreachable in the FM's own database", n.DSN)
 			}
+		}
+		if err := db.Check(); err != nil {
+			t.Fatalf("database structure after the audit: %v", err)
 		}
 	})
 }

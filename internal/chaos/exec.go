@@ -129,6 +129,11 @@ type Report struct {
 	ContinuousChecked int
 	ContinuousErrs    []string
 
+	// StructErrs records every core.DB.Check violation found at a
+	// quiescent point: after the transient period, after the event
+	// script, after each continuous round and after the audit.
+	StructErrs []string
+
 	// Audit is the forced post-quiescence rediscovery.
 	AuditRequested bool
 	AuditRan       bool
@@ -308,6 +313,17 @@ func Execute(sc Scenario, opt Options) (*Report, error) {
 		return rep
 	}
 
+	// checkDB runs the database's structural invariants at a quiescent
+	// point; an FM still mid-run is not quiescent and is not checked.
+	checkDB := func(point string) {
+		if m.Discovering() {
+			return
+		}
+		if err := m.DB().Check(); err != nil {
+			rep.StructErrs = append(rep.StructErrs, fmt.Sprintf("%s: %v", point, err))
+		}
+	}
+
 	// Transient period: initial discovery, then event-route distribution.
 	m.StartDiscovery()
 	if !runPhase("initial discovery") {
@@ -323,6 +339,7 @@ func Execute(sc Scenario, opt Options) (*Report, error) {
 	if !runPhase("event-route distribution") {
 		return finish(), nil
 	}
+	checkDB("after the transient period")
 	rep.T0 = e.Now()
 
 	// Event script: schedule every perturbation relative to T0 and note
@@ -373,6 +390,7 @@ func Execute(sc Scenario, opt Options) (*Report, error) {
 	}
 	rep.PI5AfterLast = pi5Delivered() - pi5Before
 	rep.StillDiscovering = m.Discovering()
+	checkDB("after the event script")
 	for i, r := range rep.Results {
 		// A run started after the last change covers it; so does a
 		// partial-assimilation run already open at the change, since the
@@ -452,6 +470,7 @@ func Execute(sc Scenario, opt Options) (*Report, error) {
 			}
 			cleanRestore := totalDrops() == dropsBefore
 			rep.ContinuousRounds++
+			checkDB(fmt.Sprintf("after continuous round %d", round))
 			// Liveness invariants hold unconditionally: the drained queue
 			// must leave the manager idle with nothing held back in the
 			// debounce window.
@@ -499,6 +518,7 @@ func Execute(sc Scenario, opt Options) (*Report, error) {
 		if !runPhase("audit rediscovery") {
 			return finish(), nil
 		}
+		checkDB("after the audit")
 		if len(rep.Results) > before {
 			rep.AuditRan = true
 			rep.Audit = rep.Results[len(rep.Results)-1]

@@ -65,13 +65,11 @@ func CheckConverged(f *fabric.Fabric, m *core.Manager, res core.Result) error {
 		return fmt.Errorf("chaos: database has %d devices / %d links, ground truth %d / %d",
 			db.NumNodes(), db.NumLinks(), wantDev, wantLinks)
 	}
-	// One BFS covers every node: db.PathTo(n) is non-nil exactly when n
-	// is in the host's reachable set (endpoints hold a single cable, so
-	// switch-only forwarding and plain reachability agree). The previous
-	// per-node PathTo loop was O(V^2 * L) and took hours at 10k switches.
-	reach := db.ReachableFromHost()
+	// One PathTree covers every node: a per-node PathTo loop would run
+	// one search per node, O(V·(V+L)), hours at 10k switches.
+	tree := db.PathTree()
 	for _, n := range db.Nodes() {
-		if !reach[n.DSN] {
+		if !tree.Reachable(n.DSN) {
 			return fmt.Errorf("chaos: node %v unreachable in the FM's own database", n.DSN)
 		}
 	}
@@ -107,6 +105,9 @@ type Oracle struct{}
 //     (per-link fault-drop vector sums to the drop counter; flap
 //     counter matches).
 //  7. Spans: when span tracing was on, the causal span log validates.
+//  8. Structure: the FM's database passed core.DB.Check at every
+//     quiescent point — symmetric link slots over known devices and
+//     ports, a consistent link count, and walkable stored paths.
 func (o Oracle) Check(rep *Report) error {
 	var errs []error
 	fail := func(format string, a ...any) { errs = append(errs, fmt.Errorf(format, a...)) }
@@ -170,6 +171,11 @@ func (o Oracle) Check(rep *Report) error {
 		if err := span.Validate(*rep.Spans); err != nil {
 			fail("chaos: span log invalid: %w", err)
 		}
+	}
+
+	// 8. Structure.
+	for _, e := range rep.StructErrs {
+		fail("chaos: database structure: %s", e)
 	}
 	return errors.Join(errs...)
 }

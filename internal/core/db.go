@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -30,6 +31,48 @@ type Node struct {
 	// per-node staleness the daemon's keeper ages re-audits on. It is
 	// bookkeeping, not topology: Fingerprint ignores it.
 	Validated sim.Time
+	// links is the database's only link store: links[p] names the far
+	// end of the cable recorded on port p. AddNode allocates it, one
+	// slot per port; AddLink, RemoveLink and RemoveNode edit it.
+	links []slot
+}
+
+// slot is one port's link record: the peer device and the peer's port.
+type slot struct {
+	dsn  asi.DSN
+	port int32
+	ok   bool
+}
+
+// holds reports whether the slot records a cable to (dsn, port).
+func (s *slot) holds(dsn asi.DSN, port int) bool {
+	return s.ok && s.dsn == dsn && int(s.port) == port
+}
+
+// portFlags returns zeroed PortKnown and PortActive slices for a device
+// with the given port count, carved from one allocation.
+func portFlags(ports int) (known, active []bool) {
+	b := make([]bool, 2*ports)
+	return b[:ports:ports], b[ports:]
+}
+
+// copyFlags copies a node's PortKnown and PortActive into one shared
+// backing array.
+func copyFlags(known, active []bool) ([]bool, []bool) {
+	b := make([]bool, len(known)+len(active))
+	copy(b, known)
+	copy(b[len(known):], active)
+	return b[:len(known):len(known)], b[len(known):]
+}
+
+// clone deep-copies a node: its path, port flags and link slots share
+// nothing with the original.
+func (n *Node) clone() *Node {
+	c := *n
+	c.Path = append(route.Path(nil), n.Path...)
+	c.PortKnown, c.PortActive = copyFlags(n.PortKnown, n.PortActive)
+	c.links = append([]slot(nil), n.links...)
+	return &c
 }
 
 // PortsRead reports whether every port's attributes have been read.
@@ -62,16 +105,20 @@ func (l Link) normalize() Link {
 // every (full) discovery, as the paper assumes: "the FM obtains the
 // complete fabric topology, discarding all the previously collected
 // information".
+//
+// Links live in per-port slots on the nodes, so every per-port and
+// per-device query touches one device's ports, never the whole link set.
 type DB struct {
 	// HostDSN is the endpoint hosting the FM.
 	HostDSN asi.DSN
 	nodes   map[asi.DSN]*Node
-	links   map[Link]bool
+	// nlinks counts the recorded links (filled slot pairs).
+	nlinks int
 }
 
 // NewDB returns an empty database for an FM hosted on the given endpoint.
 func NewDB(host asi.DSN) *DB {
-	return &DB{HostDSN: host, nodes: make(map[asi.DSN]*Node), links: make(map[Link]bool)}
+	return &DB{HostDSN: host, nodes: make(map[asi.DSN]*Node)}
 }
 
 // Node returns the database entry for a DSN, or nil.
@@ -92,7 +139,7 @@ func (db *DB) NumSwitches() int {
 }
 
 // NumLinks returns the number of discovered links.
-func (db *DB) NumLinks() int { return len(db.links) }
+func (db *DB) NumLinks() int { return db.nlinks }
 
 // Nodes returns all entries sorted by DSN for deterministic iteration.
 func (db *DB) Nodes() []*Node {
@@ -106,28 +153,28 @@ func (db *DB) Nodes() []*Node {
 
 // Links returns all discovered links sorted canonically.
 func (db *DB) Links() []Link {
-	out := make([]Link, 0, len(db.links))
-	for l := range db.links {
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.A != b.A {
-			return a.A < b.A
-		}
-		if a.APort != b.APort {
-			return a.APort < b.APort
-		}
-		if a.B != b.B {
-			return a.B < b.B
-		}
-		return a.BPort < b.BPort
-	})
+	out := make([]Link, 0, db.nlinks)
+	forLinks(db.Nodes(), func(l Link) { out = append(out, l) })
 	return out
 }
 
-// Clone deep-copies the database: node entries (including their paths
-// and per-port attribute slices) and the link set share nothing with the
+// forLinks calls fn for every link in canonical order, given the nodes
+// sorted by DSN: each link is reported once, from the slot on its
+// normalized A side, and a port holds at most one link, so walking the
+// sorted nodes' ports in order yields the links sorted by (A, APort).
+func forLinks(sorted []*Node, fn func(Link)) {
+	for _, n := range sorted {
+		for p := range n.links {
+			s := &n.links[p]
+			if s.ok && (n.DSN < s.dsn || (n.DSN == s.dsn && p < int(s.port))) {
+				fn(Link{A: n.DSN, APort: p, B: s.dsn, BPort: int(s.port)})
+			}
+		}
+	}
+}
+
+// Clone deep-copies the database: node entries (including their paths,
+// per-port attribute slices and link slots) share nothing with the
 // original. The serving layer uses it to freeze a discovery result into
 // an immutable RIB snapshot while the manager keeps mutating its live
 // database (partial assimilation edits entries in place).
@@ -135,17 +182,10 @@ func (db *DB) Clone() *DB {
 	out := &DB{
 		HostDSN: db.HostDSN,
 		nodes:   make(map[asi.DSN]*Node, len(db.nodes)),
-		links:   make(map[Link]bool, len(db.links)),
+		nlinks:  db.nlinks,
 	}
 	for dsn, n := range db.nodes {
-		c := *n
-		c.Path = append(route.Path(nil), n.Path...)
-		c.PortKnown = append([]bool(nil), n.PortKnown...)
-		c.PortActive = append([]bool(nil), n.PortActive...)
-		out.nodes[dsn] = &c
-	}
-	for l := range db.links {
-		out.links[l] = true
+		out.nodes[dsn] = n.clone()
 	}
 	return out
 }
@@ -167,29 +207,32 @@ func (db *DB) Fingerprint() uint64 {
 			h *= prime
 		}
 	}
-	mix(uint64(len(db.nodes)))
-	for _, n := range db.Nodes() {
+	nodes := db.Nodes()
+	mix(uint64(len(nodes)))
+	for _, n := range nodes {
 		mix(uint64(n.DSN))
 		mix(uint64(n.Type))
 		mix(uint64(n.Ports))
 	}
-	mix(uint64(len(db.links)))
-	for _, l := range db.Links() {
+	mix(uint64(db.nlinks))
+	forLinks(nodes, func(l Link) {
 		mix(uint64(l.A))
 		mix(uint64(l.APort))
 		mix(uint64(l.B))
 		mix(uint64(l.BPort))
-	}
+	})
 	return h
 }
 
 // AddNode inserts a newly discovered device. It reports whether the device
 // was new; a device reached through an alternate path keeps its original
-// entry (and path).
+// entry (and path). The database takes n over and gives it one empty
+// link slot per port: links are recorded only through AddLink.
 func (db *DB) AddNode(n *Node) bool {
 	if _, ok := db.nodes[n.DSN]; ok {
 		return false
 	}
+	n.links = make([]slot, max(n.Ports, 0))
 	db.nodes[n.DSN] = n
 	return true
 }
@@ -197,85 +240,113 @@ func (db *DB) AddNode(n *Node) bool {
 // RemoveNode deletes a device and all links touching it (used by partial
 // rediscovery when pruning an unreachable region).
 func (db *DB) RemoveNode(dsn asi.DSN) {
-	delete(db.nodes, dsn)
-	for l := range db.links {
-		if l.A == dsn || l.B == dsn {
-			delete(db.links, l)
-		}
+	n := db.nodes[dsn]
+	if n == nil {
+		return
 	}
+	for p := range n.links {
+		s := n.links[p]
+		if !s.ok {
+			continue
+		}
+		if far := db.slotAt(s.dsn, int(s.port)); far != nil {
+			*far = slot{}
+		}
+		n.links[p] = slot{}
+		db.nlinks--
+	}
+	delete(db.nodes, dsn)
 }
 
-// AddLink records a link; duplicates (the same cable crossed from either
-// side) collapse onto one entry.
-func (db *DB) AddLink(l Link) {
-	db.links[l.normalize()] = true
+// slotAt returns the link slot of a device port, or nil when the device
+// is unknown or has no such port.
+func (db *DB) slotAt(dsn asi.DSN, port int) *slot {
+	n := db.nodes[dsn]
+	if n == nil || port < 0 || port >= len(n.links) {
+		return nil
+	}
+	return &n.links[port]
 }
 
-// RemoveLink deletes a link.
+// AddLink records a link and reports whether the database holds it
+// afterwards; the same cable crossed from either side collapses onto one
+// entry. It refuses a link with an unknown endpoint, a port at or above
+// that device's port count, or a port whose slot already holds a
+// different peer: a port carries one cable, so such a link can only come
+// from malformed device input.
+func (db *DB) AddLink(l Link) bool {
+	a, b := db.slotAt(l.A, l.APort), db.slotAt(l.B, l.BPort)
+	if a == nil || b == nil || a == b {
+		return false
+	}
+	if a.ok || b.ok {
+		return a.holds(l.B, l.BPort) && b.holds(l.A, l.APort)
+	}
+	*a = slot{dsn: l.B, port: int32(l.BPort), ok: true}
+	*b = slot{dsn: l.A, port: int32(l.APort), ok: true}
+	db.nlinks++
+	return true
+}
+
+// RemoveLink deletes a link, if recorded.
 func (db *DB) RemoveLink(l Link) {
-	delete(db.links, l.normalize())
+	a, b := db.slotAt(l.A, l.APort), db.slotAt(l.B, l.BPort)
+	if a == nil || b == nil || !a.holds(l.B, l.BPort) || !b.holds(l.A, l.APort) {
+		return
+	}
+	*a, *b = slot{}, slot{}
+	db.nlinks--
 }
 
 // HasLink reports whether a link is recorded, in either orientation.
-func (db *DB) HasLink(l Link) bool { return db.links[l.normalize()] }
-
-// LinkAt returns the link attached to a device port, if recorded.
-func (db *DB) LinkAt(dsn asi.DSN, port int) (Link, bool) {
-	for l := range db.links {
-		if (l.A == dsn && l.APort == port) || (l.B == dsn && l.BPort == port) {
-			return l, true
-		}
-	}
-	return Link{}, false
+func (db *DB) HasLink(l Link) bool {
+	a := db.slotAt(l.A, l.APort)
+	return a != nil && a.holds(l.B, l.BPort)
 }
 
-// Neighbors returns the (dsn, port, remotePort) triples adjacent to a
-// device, sorted for determinism.
+// LinkAt returns the link attached to a device port, if recorded, in its
+// normalized orientation.
+func (db *DB) LinkAt(dsn asi.DSN, port int) (Link, bool) {
+	s := db.slotAt(dsn, port)
+	if s == nil || !s.ok {
+		return Link{}, false
+	}
+	return Link{A: dsn, APort: port, B: s.dsn, BPort: int(s.port)}.normalize(), true
+}
+
+// Neighbor is one recorded cable seen from a device: the peer and the
+// ports at both ends.
 type Neighbor struct {
 	DSN        asi.DSN
 	LocalPort  int
 	RemotePort int
 }
 
-// NeighborsOf lists the recorded neighbours of a device.
+// NeighborsOf lists the recorded neighbours of a device in port order.
 func (db *DB) NeighborsOf(dsn asi.DSN) []Neighbor {
+	n := db.nodes[dsn]
+	if n == nil {
+		return nil
+	}
 	var out []Neighbor
-	for l := range db.links {
-		switch dsn {
-		case l.A:
-			out = append(out, Neighbor{DSN: l.B, LocalPort: l.APort, RemotePort: l.BPort})
-		case l.B:
-			out = append(out, Neighbor{DSN: l.A, LocalPort: l.BPort, RemotePort: l.APort})
+	for p, s := range n.links {
+		if s.ok {
+			out = append(out, Neighbor{DSN: s.dsn, LocalPort: p, RemotePort: int(s.port)})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].LocalPort != out[j].LocalPort {
-			return out[i].LocalPort < out[j].LocalPort
-		}
-		return out[i].DSN < out[j].DSN
-	})
 	return out
 }
 
-// ReachableFromHost walks the recorded links from the host endpoint and
-// returns the set of reachable DSNs.
+// ReachableFromHost returns the set of DSNs the host endpoint reaches
+// over the recorded links: the host and every device of its PathTree.
 func (db *DB) ReachableFromHost() map[asi.DSN]bool {
-	seen := map[asi.DSN]bool{}
-	if _, ok := db.nodes[db.HostDSN]; !ok {
-		return seen
+	t := db.PathTree()
+	seen := make(map[asi.DSN]bool, len(t.prev)+1)
+	if t.src != nil {
+		seen[t.src.DSN] = true
 	}
-	seen[db.HostDSN] = true
-	queue := []asi.DSN{db.HostDSN}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, nb := range db.NeighborsOf(cur) {
-			if _, known := db.nodes[nb.DSN]; !known || seen[nb.DSN] {
-				continue
-			}
-			seen[nb.DSN] = true
-			queue = append(queue, nb.DSN)
-		}
+	for dsn := range t.prev {
+		seen[dsn] = true
 	}
 	return seen
 }
@@ -284,51 +355,111 @@ func (db *DB) ReachableFromHost() map[asi.DSN]bool {
 // target over the recorded links, breadth-first, and the target's arrival
 // port along it. It returns a nil path when the target is not reachable
 // in the database. The first hop leaves the host endpoint; every switch
-// traversal contributes one hop, the target itself none.
+// traversal contributes one hop, the target itself none. Callers routing
+// many devices share one PathTree instead.
 func (db *DB) PathTo(target asi.DSN) (route.Path, int) {
-	return db.pathFrom(db.HostDSN, target)
+	return db.PathTree().PathTo(target)
 }
 
 // PathBetween computes a shortest source route from one discovered device
 // to another over the recorded links. Only endpoints and switches known
 // to the database are usable; nil means unreachable.
 func (db *DB) PathBetween(src, dst asi.DSN) route.Path {
-	p, _ := db.pathFrom(src, dst)
+	p, _ := db.treeFrom(src).PathTo(dst)
 	return p
 }
 
-// pred records how BFS reached a node.
-type pred struct {
-	from       asi.DSN
-	fromPort   int
-	arrivePort int
+// PathTree is one breadth-first search over the recorded links from a
+// source device, holding every reachable device's predecessor. Only the
+// source and switches forward. One tree routes every device of a
+// database generation in O(V+L) total, where one search per device
+// would cost O(V·(V+L)). A tree is a view of the links at the time it
+// was built: adding or removing a link invalidates it, while removing a
+// device the tree does not reach leaves it valid.
+type PathTree struct {
+	src  *Node
+	prev map[asi.DSN]pred
 }
 
-// bfsFrom explores the database graph from src (only src and switches
-// forward) and returns the predecessor map.
-func (db *DB) bfsFrom(src asi.DSN) map[asi.DSN]pred {
-	prev := map[asi.DSN]pred{}
-	if _, ok := db.nodes[src]; !ok {
-		return prev
+// pred records how the search reached a device: the previous device,
+// the port it left by, the port it arrived on, and the number of switch
+// hops on the route to the device.
+type pred struct {
+	from       *Node
+	fromPort   int
+	arrivePort int
+	hops       int
+}
+
+// PathTree searches the database from the host endpoint.
+func (db *DB) PathTree() *PathTree { return db.treeFrom(db.HostDSN) }
+
+// treeFrom searches the database from src; an unknown src reaches
+// nothing.
+func (db *DB) treeFrom(src asi.DSN) *PathTree {
+	t := &PathTree{src: db.nodes[src]}
+	if t.src == nil {
+		return t
 	}
-	seen := map[asi.DSN]bool{src: true}
-	queue := []asi.DSN{src}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur != src && db.nodes[cur].Type != asi.DeviceSwitch {
-			continue
-		}
-		for _, nb := range db.NeighborsOf(cur) {
-			if _, known := db.nodes[nb.DSN]; !known || seen[nb.DSN] {
+	t.prev = make(map[asi.DSN]pred, len(db.nodes))
+	queue := make([]*Node, 1, len(db.nodes))
+	queue[0] = t.src
+	for i := 0; i < len(queue); i++ {
+		cur := queue[i]
+		hops := 0
+		if cur != t.src {
+			if cur.Type != asi.DeviceSwitch {
 				continue
 			}
-			seen[nb.DSN] = true
-			prev[nb.DSN] = pred{from: cur, fromPort: nb.LocalPort, arrivePort: nb.RemotePort}
-			queue = append(queue, nb.DSN)
+			hops = t.prev[cur.DSN].hops + 1
+		}
+		for p, s := range cur.links {
+			if !s.ok || s.dsn == src {
+				continue
+			}
+			if _, seen := t.prev[s.dsn]; seen {
+				continue
+			}
+			t.prev[s.dsn] = pred{from: cur, fromPort: p, arrivePort: int(s.port), hops: hops}
+			queue = append(queue, db.nodes[s.dsn])
 		}
 	}
-	return prev
+	return t
+}
+
+// Reachable reports whether the tree reaches a device (the source
+// included).
+func (t *PathTree) Reachable(dsn asi.DSN) bool {
+	if t.src == nil {
+		return false
+	}
+	_, ok := t.prev[dsn]
+	return ok || dsn == t.src.DSN
+}
+
+// PathTo returns the tree's source route to the target and the target's
+// arrival port, or a nil path when the tree does not reach it. A route
+// to the source itself is empty, not nil.
+func (t *PathTree) PathTo(target asi.DSN) (route.Path, int) {
+	if t.src == nil {
+		return nil, 0
+	}
+	if target == t.src.DSN {
+		return route.Path{}, 0
+	}
+	last, ok := t.prev[target]
+	if !ok {
+		return nil, 0
+	}
+	// hops must be non-nil even for adjacent targets: nil is the
+	// unreachable sentinel, a zero-hop path is a valid route.
+	hops := make(route.Path, last.hops)
+	for p, i := last, last.hops-1; i >= 0; i-- {
+		up := t.prev[p.from.DSN]
+		hops[i] = route.Hop{Ports: p.from.Ports, In: up.arrivePort, Out: p.fromPort}
+		p = up
+	}
+	return hops, last.arrivePort
 }
 
 // ChainLink is one cable traversal on a database path.
@@ -339,57 +470,104 @@ type ChainLink struct {
 	ToPort   int
 }
 
-// Chain returns the cable-level walk of a shortest path from src to dst
-// over the database graph, or nil if unreachable. Multicast tree
-// construction uses it to mark the ports a group spans.
-func (db *DB) Chain(src, dst asi.DSN) []ChainLink {
-	if src == dst {
+// Chain returns the cable-level walk of the tree's shortest path to dst,
+// or nil if unreachable. Multicast tree construction uses it to mark the
+// ports a group spans.
+func (t *PathTree) Chain(dst asi.DSN) []ChainLink {
+	if t.src != nil && dst == t.src.DSN {
 		return []ChainLink{}
 	}
-	prev := db.bfsFrom(src)
-	if _, ok := prev[dst]; !ok {
+	last, ok := t.prev[dst]
+	if !ok {
 		return nil
 	}
-	var out []ChainLink
+	out := make([]ChainLink, last.hops+1)
 	at := dst
-	for at != src {
-		p := prev[at]
-		out = append(out, ChainLink{From: p.from, FromPort: p.fromPort, To: at, ToPort: p.arrivePort})
-		at = p.from
-	}
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
+	for i := last.hops; i >= 0; i-- {
+		p := t.prev[at]
+		out[i] = ChainLink{From: p.from.DSN, FromPort: p.fromPort, To: at, ToPort: p.arrivePort}
+		at = p.from.DSN
 	}
 	return out
 }
 
-func (db *DB) pathFrom(src, target asi.DSN) (route.Path, int) {
-	if _, ok := db.nodes[src]; !ok {
-		return nil, 0
-	}
-	if target == src {
-		return route.Path{}, 0
-	}
-	prev := db.bfsFrom(src)
-	if _, ok := prev[target]; !ok {
-		return nil, 0
-	}
-	// hops must be non-nil even for adjacent targets: nil is the
-	// unreachable sentinel, a zero-hop path is a valid route.
-	hops := route.Path{}
-	at := target
-	for at != src {
-		p := prev[at]
-		if p.from != src {
-			n := db.nodes[p.from]
-			hops = append(hops, route.Hop{Ports: n.Ports, In: prev[p.from].arrivePort, Out: p.fromPort})
+// Check verifies the database's structural invariants and returns an
+// error naming every violation (nil when all hold):
+//
+//   - every device has one link slot per port;
+//   - every filled slot (a,p)→(b,q) names a known device b and a port q
+//     in range, and slot (b,q) points back at (a,p);
+//   - NumLinks equals the number of filled slot pairs;
+//   - every device's stored Path walks over recorded links from the host
+//     and arrives on the device's ArrivalPort.
+func (db *DB) Check() error {
+	const maxReported = 8
+	var errs []error
+	violations := 0
+	fail := func(format string, a ...any) {
+		if violations++; violations <= maxReported {
+			errs = append(errs, fmt.Errorf("core: "+format, a...))
 		}
-		at = p.from
 	}
-	for i, j := 0, len(hops)-1; i < j; i, j = i+1, j-1 {
-		hops[i], hops[j] = hops[j], hops[i]
+	filled := 0
+	for _, n := range db.Nodes() {
+		if len(n.links) != n.Ports {
+			fail("%v has %d link slots for %d ports", n.DSN, len(n.links), n.Ports)
+		}
+		for p, s := range n.links {
+			if !s.ok {
+				continue
+			}
+			filled++
+			switch far := db.slotAt(s.dsn, int(s.port)); {
+			case far == nil:
+				fail("%v port %d links to %v port %d, which is unknown", n.DSN, p, s.dsn, s.port)
+			case !far.holds(n.DSN, p):
+				fail("%v port %d links to %v port %d, which does not link back", n.DSN, p, s.dsn, s.port)
+			}
+		}
+		if n.DSN != db.HostDSN && !db.walkable(n) {
+			fail("%v: stored path %v does not walk over recorded links to arrival port %d",
+				n.DSN, n.Path, n.ArrivalPort)
+		}
 	}
-	return hops, prev[target].arrivePort
+	if filled != 2*db.nlinks {
+		fail("NumLinks is %d but %d slots are filled", db.nlinks, filled)
+	}
+	if violations > maxReported {
+		errs = append(errs, fmt.Errorf("core: %d more violations", violations-maxReported))
+	}
+	return errors.Join(errs...)
+}
+
+// walkable reports whether n's stored Path, followed from the host over
+// the recorded links, ends on n's ArrivalPort.
+func (db *DB) walkable(n *Node) bool {
+	host := db.nodes[db.HostDSN]
+	if host == nil {
+		return false
+	}
+	// The route does not name the port it leaves the host by.
+	for out := range host.links {
+		if db.walkFrom(host, out, n) {
+			return true
+		}
+	}
+	return false
+}
+
+// walkFrom follows n.Path from one port of cur.
+func (db *DB) walkFrom(cur *Node, out int, n *Node) bool {
+	for _, h := range n.Path {
+		s := cur.links[out]
+		next := db.nodes[s.dsn]
+		if !s.ok || next == nil || next.Type != asi.DeviceSwitch || h.Ports != next.Ports ||
+			h.In != int(s.port) || h.Out < 0 || h.Out >= len(next.links) {
+			return false
+		}
+		cur, out = next, h.Out
+	}
+	return cur.links[out].holds(n.DSN, n.ArrivalPort)
 }
 
 // String summarizes the database.

@@ -301,8 +301,7 @@ func (t *Team) merge() {
 		}
 		db := t.reports[m.dev.DSN]
 		for _, n := range db.Nodes() {
-			c := *n
-			p.db.AddNode(&c)
+			p.db.AddNode(n.clone())
 		}
 		for _, l := range db.Links() {
 			p.db.AddLink(l)
@@ -310,11 +309,12 @@ func (t *Team) merge() {
 	}
 	// Foreign-region nodes carry member-relative paths; recompute from
 	// the primary's endpoint over the merged graph.
+	tree := p.db.PathTree()
 	for _, n := range p.db.Nodes() {
 		if n.DSN == p.dev.DSN {
 			continue
 		}
-		path, arrive := p.db.PathTo(n.DSN)
+		path, arrive := tree.PathTo(n.DSN)
 		if path == nil {
 			p.db.RemoveNode(n.DSN)
 			continue

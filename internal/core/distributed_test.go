@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/asi"
 	"repro/internal/fabric"
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -223,4 +224,55 @@ func TestTeamRejectsWrongAlgorithm(t *testing.T) {
 		}
 	}()
 	NewTeam([]*Manager{m})
+}
+
+// The merged database owns its entries: editing a member's live database
+// after the merge (as its next round will) leaves the primary's copy of
+// every node untouched, and the merge itself is structurally sound.
+func TestMergeCopiesMemberNodes(t *testing.T) {
+	tp := topo.Torus(4, 4)
+	e, _, team := teamSetup(t, tp, 2)
+	done := false
+	team.OnComplete = func(TeamResult) { done = true }
+	team.StartDiscovery()
+	e.Run()
+	if !done {
+		t.Fatal("no result")
+	}
+	p := team.Primary()
+	if err := p.DB().Check(); err != nil {
+		t.Fatal(err)
+	}
+	fp := p.DB().Fingerprint()
+	type flags struct{ known, active []bool }
+	saved := map[asi.DSN]flags{}
+	for _, n := range p.DB().Nodes() {
+		saved[n.DSN] = flags{append([]bool(nil), n.PortKnown...), append([]bool(nil), n.PortActive...)}
+	}
+	member := team.members[1].DB()
+	for _, n := range member.Nodes() {
+		for i := range n.PortKnown {
+			n.PortKnown[i], n.PortActive[i] = !n.PortKnown[i], !n.PortActive[i]
+		}
+		if len(n.Path) > 0 {
+			n.Path[0].Out++
+		}
+	}
+	for _, l := range member.Links() {
+		member.RemoveLink(l)
+	}
+	if p.DB().Fingerprint() != fp {
+		t.Error("editing a member database changed the merged topology")
+	}
+	for _, n := range p.DB().Nodes() {
+		s := saved[n.DSN]
+		for i := range n.PortKnown {
+			if n.PortKnown[i] != s.known[i] || n.PortActive[i] != s.active[i] {
+				t.Fatalf("editing a member database changed %v's port flags", n.DSN)
+			}
+		}
+	}
+	if err := p.DB().Check(); err != nil {
+		t.Errorf("after editing a member database: %v", err)
+	}
 }

@@ -519,10 +519,9 @@ func (m *Manager) discoverSelf() {
 		Ports:       gi.Ports,
 		Path:        route.Path{},
 		ArrivalPort: 0,
-		PortKnown:   make([]bool, gi.Ports),
-		PortActive:  make([]bool, gi.Ports),
 		General:     gi,
 	}
+	host.PortKnown, host.PortActive = portFlags(gi.Ports)
 	for p := 0; p < gi.Ports; p++ {
 		host.PortKnown[p] = true
 		host.PortActive[p] = m.dev.PortActive(p)
@@ -541,23 +540,25 @@ func (m *Manager) applyCompletion(req *request, resp asi.PI4) {
 			return
 		}
 		gi, err := asi.ParseGeneralInfo(resp.Data)
-		if err != nil {
+		// A device cannot be reached through a port it does not have:
+		// such a completion is malformed and must not fabricate state.
+		if err != nil || int(resp.ArrivalPort) >= gi.Ports {
 			m.drv.onGeneral(req, nil, false, false)
 			return
 		}
-		n := &Node{
-			DSN:         gi.DSN,
-			Type:        gi.Type,
-			Ports:       gi.Ports,
-			Path:        req.path,
-			ArrivalPort: int(resp.ArrivalPort),
-			PortKnown:   make([]bool, gi.Ports),
-			PortActive:  make([]bool, gi.Ports),
-			General:     gi,
-		}
-		isNew := m.db.AddNode(n)
-		if !isNew {
-			n = m.db.Node(gi.DSN)
+		n := m.db.Node(gi.DSN)
+		isNew := n == nil
+		if isNew {
+			n = &Node{
+				DSN:         gi.DSN,
+				Type:        gi.Type,
+				Ports:       gi.Ports,
+				Path:        req.path,
+				ArrivalPort: int(resp.ArrivalPort),
+				General:     gi,
+			}
+			n.PortKnown, n.PortActive = portFlags(gi.Ports)
+			m.db.AddNode(n)
 		}
 		n.Validated = m.e.Now()
 		m.db.AddLink(Link{A: req.srcDSN, APort: req.srcPort, B: gi.DSN, BPort: int(resp.ArrivalPort)})

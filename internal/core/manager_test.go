@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/asi"
 	"repro/internal/fabric"
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -409,5 +410,69 @@ func TestResultStringNonEmpty(t *testing.T) {
 	res := runDiscovery(t, e, m)
 	if res.String() == "" || res.AvgFMProcessing() == 0 {
 		t.Error("result rendering broken")
+	}
+}
+
+// A general-info completion claiming an arrival port the device does not
+// have is malformed input: the manager treats it as a failed probe, so
+// the device never enters the database and no link lands on a port that
+// does not exist.
+func TestForgedArrivalPortRejected(t *testing.T) {
+	cases := []struct {
+		name   string
+		forge  func(ports int) (uint8, bool) // forged port; false = leave it
+		wantIn bool
+	}{
+		{"genuine", func(int) (uint8, bool) { return 0, false }, true},
+		{"at the port count", func(ports int) (uint8, bool) { return uint8(ports), true }, false},
+		{"far above the port count", func(int) (uint8, bool) { return 255, true }, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tp := topo.Mesh(3, 3)
+			e, f, m := setup(t, tp, Parallel)
+			var switches []topo.NodeID
+			for _, n := range tp.Nodes {
+				if n.Type == asi.DeviceSwitch {
+					switches = append(switches, n.ID)
+				}
+			}
+			target := f.Device(switches[4]).DSN // the centre switch
+			forged := 0
+			f.Device(tp.Endpoints()[0]).SetHandler(fabric.HandlerFunc(func(port int, pkt *asi.Packet) {
+				pl, ok := pkt.Payload.(asi.PI4)
+				if ok && pl.Op == asi.PI4ReadCompletionData {
+					if gi, err := asi.ParseGeneralInfo(pl.Data); err == nil && gi.DSN == target {
+						if arr, forge := c.forge(gi.Ports); forge {
+							pl.ArrivalPort = arr
+							cp := *pkt
+							cp.Payload = pl
+							pkt = &cp
+							forged++
+						}
+					}
+				}
+				m.HandlePacket(port, pkt)
+			}))
+			res := runDiscovery(t, e, m)
+			if c.wantIn == (forged > 0) {
+				t.Fatalf("forged %d completions", forged)
+			}
+			if in := m.DB().Node(target) != nil; in != c.wantIn {
+				t.Errorf("target in database = %v, want %v", in, c.wantIn)
+			}
+			if err := m.DB().Check(); err != nil {
+				t.Error(err)
+			}
+			wantDev, _ := groundTruth(f, tp.Endpoints()[0])
+			if c.wantIn && res.Devices != wantDev {
+				t.Errorf("discovered %d devices, want %d", res.Devices, wantDev)
+			}
+			// The centre switch and its own endpoint are lost; every
+			// other device is reached around it.
+			if !c.wantIn && res.Devices != wantDev-2 {
+				t.Errorf("discovered %d devices, want %d", res.Devices, wantDev-2)
+			}
+		})
 	}
 }

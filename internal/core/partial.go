@@ -127,13 +127,15 @@ func (m *Manager) partialUp(rep *Node, port int) {
 
 // refreshPaths recomputes every device's source route over the repaired
 // database, prunes unreachable devices, and validates each rerouted
-// device with one verification read.
+// device with one verification read. One PathTree routes them all:
+// pruning a device the tree does not reach leaves it valid.
 func (m *Manager) refreshPaths() {
+	tree := m.db.PathTree()
 	for _, n := range m.db.Nodes() {
 		if n.DSN == m.dev.DSN {
 			continue
 		}
-		p, arrive := m.db.PathTo(n.DSN)
+		p, arrive := tree.PathTo(n.DSN)
 		if p == nil {
 			m.removeNode(n.DSN)
 			continue

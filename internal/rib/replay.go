@@ -89,24 +89,33 @@ func (r *Replayer) Fingerprint() (uint64, error) {
 		return 0, fmt.Errorf("rib: no sync applied")
 	}
 	db := core.NewDB(0)
+	// Two passes, nodes first: a link is only recorded between known
+	// devices, so map iteration order must not decide which links land.
 	for path, v := range r.leaves {
-		switch {
-		case strings.HasPrefix(path, PathSwitches), strings.HasPrefix(path, PathEndpoints):
-			var n nodeLeaf
-			if err := json.Unmarshal(v, &n); err != nil {
-				return 0, fmt.Errorf("rib: leaf %s: %w", path, err)
-			}
-			typ := asi.DeviceEndpoint
-			if n.Type == "switch" {
-				typ = asi.DeviceSwitch
-			}
-			db.AddNode(&core.Node{DSN: n.DSN, Type: typ, Ports: n.Ports})
-		case strings.HasPrefix(path, PathLinks):
-			var l linkLeaf
-			if err := json.Unmarshal(v, &l); err != nil {
-				return 0, fmt.Errorf("rib: leaf %s: %w", path, err)
-			}
-			db.AddLink(core.Link{A: l.A, APort: l.APort, B: l.B, BPort: l.BPort})
+		if !strings.HasPrefix(path, PathSwitches) && !strings.HasPrefix(path, PathEndpoints) {
+			continue
+		}
+		var n nodeLeaf
+		if err := json.Unmarshal(v, &n); err != nil {
+			return 0, fmt.Errorf("rib: leaf %s: %w", path, err)
+		}
+		typ := asi.DeviceEndpoint
+		if n.Type == "switch" {
+			typ = asi.DeviceSwitch
+		}
+		db.AddNode(&core.Node{DSN: n.DSN, Type: typ, Ports: n.Ports})
+	}
+	for path, v := range r.leaves {
+		if !strings.HasPrefix(path, PathLinks) {
+			continue
+		}
+		var l linkLeaf
+		if err := json.Unmarshal(v, &l); err != nil {
+			return 0, fmt.Errorf("rib: leaf %s: %w", path, err)
+		}
+		link := core.Link{A: l.A, APort: l.APort, B: l.B, BPort: l.BPort}
+		if !db.AddLink(link) {
+			return 0, fmt.Errorf("rib: leaf %s: link %+v does not fit the replayed devices", path, link)
 		}
 	}
 	if db.NumNodes() == 0 {

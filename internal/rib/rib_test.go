@@ -2,6 +2,7 @@ package rib
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
@@ -280,5 +281,35 @@ func TestReplayerRejects(t *testing.T) {
 	if err := rep.Apply(Batch{Gen: 2, Type: DeltaBatch,
 		Updates: []Update{{Op: OpDelete, Path: "/topology/switches/9"}}}); err == nil {
 		t.Error("delete of unknown leaf accepted")
+	}
+}
+
+// A replayed link leaf that names a device the stream never carried
+// cannot be rebuilt into a database: Fingerprint reports it instead of
+// hashing a topology without it.
+func TestReplayerRejectsDanglingLink(t *testing.T) {
+	r := New(Config{})
+	r.Install(lineDB(3, 0))
+	sub := r.Subscribe("/")
+	defer sub.Close()
+	rep := NewReplayer()
+	if err := rep.Apply(<-sub.Updates()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rep.Fingerprint(); err != nil {
+		t.Fatalf("clean stream: %v", err)
+	}
+	dangling := core.Link{A: 4, APort: 1, B: 99, BPort: 0}
+	v, err := json.Marshal(linkLeaf{A: dangling.A, APort: dangling.APort, B: dangling.B, BPort: dangling.BPort})
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := Batch{Gen: rep.Gen() + 1, Type: DeltaBatch,
+		Updates: []Update{{Op: OpSet, Path: PathLinks + linkKey(dangling), Value: v}}}
+	if err := rep.Apply(forged); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rep.Fingerprint(); err == nil {
+		t.Error("Fingerprint accepted a link to an unknown device")
 	}
 }
