@@ -5,10 +5,10 @@
 #                   race-detector test, 1-iteration benchmark smoke,
 #                   JSON run-report schema smoke, span pipeline smoke,
 #                   spans-disabled zero-alloc regression, chaos smoke,
-#                   parallel-sweep determinism smoke, region-sharded
-#                   parallel-path identity smoke, FM-daemon serving-layer
-#                   smoke (1000-subscriber replay identity), observability
-#                   plane smoke (Prometheus /metrics + staleness SLO),
+#                   parallel-sweep determinism smoke, FM-daemon
+#                   serving-layer smoke (1000-subscriber replay identity),
+#                   observability plane smoke (Prometheus /metrics +
+#                   staleness SLO),
 #                   continuous-assimilation smoke (keeper-driven coalesced
 #                   churn), large-fabric serving-path smoke (dragonfly
 #                   16x64 install budget + replay identity), benchmark
@@ -28,7 +28,7 @@ BENCHTIME ?= 3x
 BENCHCOUNT ?= 5
 BENCH_BASELINE ?= results/bench_baseline.txt
 
-.PHONY: all build vet test race verify bench bench-smoke bench-diff fmt-check json-smoke span-smoke alloc-check chaos-smoke chaos-par-smoke par-smoke daemon-smoke obs-smoke assim-smoke scale-smoke fuzz
+.PHONY: all build vet test race verify bench bench-smoke bench-diff fmt-check json-smoke span-smoke alloc-check chaos-smoke chaos-par-smoke daemon-smoke obs-smoke assim-smoke scale-smoke fuzz
 
 all: build vet test
 
@@ -98,26 +98,18 @@ fuzz:
 	$(GO) test ./internal/chaos -run '^$$' -fuzz '^FuzzGenerated$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/chaos -run '^$$' -fuzz '^FuzzCoalesce$$' -fuzztime $(FUZZTIME)
 
-# par-smoke proves the region-sharded parallel simulation path: one
-# scenario per topology family (torus, fat-tree, dragonfly, autofat) at
-# R in {2,4,8} must reconstruct the sequential referee's exact database
-# fingerprint and pass the convergence oracle.
-par-smoke:
-	$(GO) test -run 'TestParallelRegions' ./internal/chaos/
-
 # daemon-smoke proves the FM daemon's serving layer end to end: asifmd
 # manages a fat-tree under scripted churn while 1000 in-process plus 8
 # HTTP subscribers replay the diff stream; every reconstructed snapshot
 # must be byte-identical to the live RIB and fingerprint-identical to
 # core.DB.Fingerprint.
 daemon-smoke:
-	$(GO) run ./cmd/asifmd -smoke 1000
+	$(GO) test -run '^TestDaemonSmoke$$' -count=1 -v ./cmd/asifmd/
 
 # obs-smoke proves the continuous observability plane end to end: an
 # in-process asifmd under churn is scraped twice over HTTP; the
-# Prometheus text must parse, every windowed rate must be finite, the
-# staleness percentiles must be populated, and the sharded variant must
-# expose the per-region event split.
+# Prometheus text must parse, every windowed rate must be finite, and the
+# staleness percentiles must be populated.
 obs-smoke:
 	$(GO) test -run 'TestObsSmoke' -count=1 ./cmd/asifmd/
 
@@ -127,7 +119,7 @@ obs-smoke:
 # debounce window, and publish the fm.assim.* counters plus the
 # DB-staleness gauges over /metrics.
 assim-smoke:
-	$(GO) run ./cmd/asifmd -assim-smoke 12
+	$(GO) test -run '^TestAssimSmoke$$' -count=1 -v ./cmd/asifmd/
 
 # scale-smoke proves the serving path at the catalogue's large dragonfly:
 # discover dragonfly 16x64 (2048 devices, 10720 links), install it into a
@@ -149,7 +141,7 @@ bench-diff:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) . ./internal/sim \
 		| $(GO) run ./cmd/benchjson -diff BENCH_sim.json
 
-verify: fmt-check build vet test race bench-smoke json-smoke span-smoke alloc-check chaos-smoke chaos-par-smoke par-smoke daemon-smoke obs-smoke assim-smoke scale-smoke bench-diff
+verify: fmt-check build vet test race bench-smoke json-smoke span-smoke alloc-check chaos-smoke chaos-par-smoke daemon-smoke obs-smoke assim-smoke scale-smoke bench-diff
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) . ./internal/sim \

@@ -38,7 +38,6 @@ func main() {
 	shrink := flag.Bool("shrink", true, "greedily shrink failing scenarios before reporting")
 	spans := flag.Bool("spans", false, "trace causal spans and print the span report (replay mode)")
 	common.RegisterWorkers(flag.CommandLine)
-	common.RegisterRegions(flag.CommandLine)
 	verbose := flag.Bool("v", false, "print a line per scenario")
 	emitCorpus := flag.String("emit-corpus", "", "write the built-in corpus scenarios into a directory and exit")
 	flag.Parse()
@@ -50,7 +49,7 @@ func main() {
 	if err := common.Validate(); err != nil {
 		fail(2, err)
 	}
-	workers, regions := &common.Workers, &common.Regions
+	workers := &common.Workers
 
 	if *emitCorpus != "" {
 		if err := emit(*emitCorpus); err != nil {
@@ -59,10 +58,7 @@ func main() {
 		return
 	}
 
-	// Telemetry adds oracle coverage, but it forces the sequential path:
-	// keep it only when regions weren't requested, so -regions actually
-	// exercises the sharded executor instead of silently falling back.
-	opt := chaos.Options{Telemetry: *regions <= 1, Spans: *spans, Regions: *regions}
+	opt := chaos.Options{Telemetry: true, Spans: *spans}
 
 	if *replay != "" {
 		b, err := os.ReadFile(*replay)

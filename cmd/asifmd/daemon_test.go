@@ -12,17 +12,16 @@ import (
 	"repro/internal/experiment"
 )
 
-// TestKeeperRaceSharded drives the keeper loop on a 4-region sharded
-// daemon with the coalescing partial FM while the observability scraper,
-// HTTP metric readers and a RIB subscriber run concurrently — the
-// configuration `go test -race ./cmd/asifmd` checks for data races
+// TestKeeperRace drives the keeper loop on a daemon with the coalescing
+// partial FM while the observability scraper, HTTP metric readers and a
+// RIB subscriber run concurrently — the configuration
+// `go test -race ./cmd/asifmd` checks for data races
 // between the keeper's concerns (churn, staleness-keyed re-audit, cursor
 // expiry, debounce flush) and every reader path.
-func TestKeeperRaceSharded(t *testing.T) {
+func TestKeeperRace(t *testing.T) {
 	cfg := experiment.DefaultDaemonConfig()
 	cfg.Topology = "8x8 mesh"
 	cfg.Algorithm = core.Partial.Slug()
-	cfg.Regions = 4
 	cfg.ChurnOps = 2
 	cfg.AuditEvery = 2
 	cfg.AssimWindowUS = 200

@@ -13,10 +13,7 @@
 //	asifmd -config daemon.json               # full config file
 //	asifmd -topo "8x8 mesh" -listen :9000    # flag overrides
 //	asifmd -rounds 100 -interval 250ms       # bounded churn, 4 rounds/s
-//	asifmd -regions 4                        # region-sharded simulation
 //	asifmd -debug :6060                      # net/http/pprof + expvar
-//	asifmd -smoke 1000 -rounds 6             # verification mode (see below)
-//	asifmd -assim-smoke 12                   # continuous-assimilation check
 //
 // Observe with any HTTP client:
 //
@@ -26,23 +23,11 @@
 //	curl 'http://localhost:8080/obs.json'    # dashboard doc (cmd/asitop)
 //	curl 'http://localhost:8080/stats'       # serving layer + staleness SLO
 //
-// Smoke mode (-smoke N) runs the configured churn rounds while N
-// in-process subscribers plus a set of real HTTP subscribers replay the
-// diff stream concurrently, then verifies every reconstruction is
-// byte-identical to the live snapshot and fingerprint-identical to the
-// FM's database. It exits non-zero on any mismatch — `make daemon-smoke`
-// is this mode.
-//
-// Assim-smoke mode (-assim-smoke N) forces the partial algorithm with
-// the coalescing front-end and drives N keeper-driven churn rounds on a
-// synthetic clock, then verifies ground-truth convergence, the
-// /metrics assimilation counters and the DB-staleness gauges — `make
-// assim-smoke` is this mode.
+// The daemon's end-to-end verification harnesses (`make daemon-smoke`,
+// `make obs-smoke`, `make assim-smoke`) are tests in this package.
 package main
 
 import (
-	"bufio"
-	"encoding/json"
 	_ "expvar" // -debug: /debug/vars on the default mux
 	"flag"
 	"fmt"
@@ -69,8 +54,6 @@ import (
 func main() {
 	var common cli.Common
 	common.RegisterConfig(flag.CommandLine)
-	common.RegisterJSON(flag.CommandLine)
-	common.RegisterRegions(flag.CommandLine)
 	topoName := flag.String("topo", "", "override the config topology")
 	alg := flag.String("alg", "", "override the config algorithm ("+
 		"serial-packet, serial-device, parallel, partial; aliases sp, sd, p)")
@@ -81,8 +64,6 @@ func main() {
 	scrapeMS := flag.Int("scrape-ms", 0, "override the config observability scrape interval (ms)")
 	interval := flag.Duration("interval", time.Second, "wall-clock pause between churn rounds (serve mode)")
 	debugAddr := flag.String("debug", "", "serve net/http/pprof and expvar on this address (e.g. :6060)")
-	smoke := flag.Int("smoke", 0, "smoke mode: N concurrent in-process subscribers, verify replay, exit")
-	assimSmoke := flag.Int("assim-smoke", 0, "assimilation smoke mode: N keeper-driven churn rounds against the coalescing partial FM, verify convergence and metrics, exit")
 	flag.Parse()
 	if err := common.Validate(); err != nil {
 		fatal(2, err)
@@ -114,21 +95,8 @@ func main() {
 			cfg.ChurnOps = *churnOps
 		case "scrape-ms":
 			cfg.ScrapeMS = *scrapeMS
-		case "regions":
-			cfg.Regions = common.Regions
 		}
 	})
-	if *assimSmoke > 0 {
-		// The mode verifies the coalescing partial path; force it on
-		// unless the config already selected it.
-		cfg.Algorithm = core.Partial.Slug()
-		if cfg.AssimWindowUS == 0 {
-			cfg.AssimWindowUS = 200
-		}
-		if cfg.StaleAfterMS == 0 {
-			cfg.StaleAfterMS = 5
-		}
-	}
 	if err := cfg.Validate(); err != nil {
 		fatal(2, err)
 	}
@@ -151,19 +119,6 @@ func main() {
 	if err := d.bootstrap(); err != nil {
 		fatal(1, err)
 	}
-
-	if *assimSmoke > 0 {
-		if err := d.runAssimSmoke(*assimSmoke, common.JSON); err != nil {
-			fatal(1, err)
-		}
-		return
-	}
-	if *smoke > 0 {
-		if err := d.runSmoke(*smoke, common.JSON); err != nil {
-			fatal(1, err)
-		}
-		return
-	}
 	d.serve(*interval)
 }
 
@@ -177,8 +132,7 @@ func fatal(code int, err error) {
 // and the plane decouple every reader from that hot path.
 type daemon struct {
 	cfg experiment.DaemonConfig
-	e   *sim.Engine     // sequential engine (nil when sharded)
-	g   *sim.ShardGroup // sharded group (nil when sequential)
+	e   *sim.Engine
 	f   *fabric.Fabric
 	m   *core.Manager
 	rib *rib.RIB
@@ -217,28 +171,12 @@ func newDaemon(cfg experiment.DaemonConfig) (*daemon, error) {
 		d.plane.Log(kind, gen, d.simNow.Load(), "")
 	}})
 
-	rng := sim.NewRNG(cfg.Seed*2654435761 + 1)
-	if cfg.Regions > 1 {
-		// The FM host seeds region 0, keeping the manager's engine local.
-		part, perr := tp.Partition(cfg.Regions, tp.Endpoints()[0])
-		if perr != nil {
-			return nil, perr
-		}
-		d.g = sim.NewShardGroup(part.Count, 0) // lookahead set by NewSharded
-		d.g.SeedRNGs(sim.NewRNG(cfg.Seed*2654435761 + 2))
-		d.f, err = fabric.NewSharded(d.g, part, tp, fabric.Config{}, rng)
-	} else {
-		d.e = sim.NewEngine()
-		d.f, err = fabric.New(d.e, tp, fabric.Config{}, rng)
-	}
+	d.e = sim.NewEngine()
+	d.f, err = fabric.New(d.e, tp, fabric.Config{}, sim.NewRNG(cfg.Seed*2654435761+1))
 	if err != nil {
 		return nil, err
 	}
-	// Per-link fabric telemetry is sequential-only; the FM's own metrics
-	// are safe on either path (the manager runs on one region's engine).
-	if d.g == nil {
-		d.f.EnableTelemetry(d.reg)
-	}
+	d.f.EnableTelemetry(d.reg)
 	ep := d.f.Device(tp.Endpoints()[0])
 	mopt := core.Options{Algorithm: cfg.Kind(), Telemetry: d.reg}
 	if cfg.AssimWindowUS > 0 {
@@ -268,23 +206,14 @@ func newDaemon(cfg experiment.DaemonConfig) (*daemon, error) {
 	return d, nil
 }
 
-// run drains the simulation to quiescence on whichever path is active;
-// now reads the (quiescent) simulation clock.
+// run drains the simulation to quiescence; now reads the (quiescent)
+// simulation clock.
 func (d *daemon) run() {
-	if d.g != nil {
-		d.g.Run()
-	} else {
-		d.e.Run()
-	}
+	d.e.Run()
 	d.simNow.Store(int64(d.now()))
 }
 
-func (d *daemon) now() sim.Time {
-	if d.g != nil {
-		return d.g.Now()
-	}
-	return d.e.Now()
-}
+func (d *daemon) now() sim.Time { return d.e.Now() }
 
 // bootstrap runs the transient period: initial discovery plus
 // event-route distribution, producing RIB generation 1.
@@ -317,12 +246,8 @@ func (d *daemon) round() {
 	d.applyChurn(base, evs)
 }
 
-// applyChurn injects the round's toggles and drains to quiescence. On
-// the sequential path the toggles are scheduled as engine events; on the
-// sharded path scheduling a closure that mutates both halves of a
-// cross-region link would race, so the coordinator instead advances all
-// regions to each toggle's time with RunUntil — between rounds it owns
-// every region — and applies the toggle directly.
+// applyChurn schedules the round's toggles as engine events and drains
+// to quiescence.
 func (d *daemon) applyChurn(base sim.Time, evs []chaos.Event) {
 	toggle := func(ev chaos.Event) {
 		if ev.Op == chaos.OpDown {
@@ -331,16 +256,9 @@ func (d *daemon) applyChurn(base sim.Time, evs []chaos.Event) {
 			d.f.SetDeviceUp(topo.NodeID(ev.Node), false)
 		}
 	}
-	if d.g != nil {
-		for _, ev := range evs {
-			d.g.RunUntil(base.Add(sim.Micros(ev.AtUS)))
-			toggle(ev)
-		}
-	} else {
-		for _, ev := range evs {
-			ev := ev
-			d.e.At(base.Add(sim.Micros(ev.AtUS)), func(*sim.Engine) { toggle(ev) })
-		}
+	for _, ev := range evs {
+		ev := ev
+		d.e.At(base.Add(sim.Micros(ev.AtUS)), func(*sim.Engine) { toggle(ev) })
 	}
 	d.run()
 }
@@ -370,16 +288,12 @@ func (d *daemon) quiesce() {
 	d.audit("quiesce rediscovery")
 }
 
-// scrape publishes the engine/shard totals into the registry and stores
-// one observability sample. It takes d.mu, so it never overlaps
-// simulation work.
+// scrape publishes the engine totals into the registry and stores one
+// observability sample. It takes d.mu, so it never overlaps simulation
+// work.
 func (d *daemon) scrape() {
 	d.mu.Lock()
-	if d.g != nil {
-		d.g.RecordTelemetry(d.reg)
-	} else {
-		d.e.RecordTelemetry(d.reg, time.Since(d.start))
-	}
+	d.e.RecordTelemetry(d.reg, time.Since(d.start))
 	// The flap tally lives on the fabric; republishing the total keeps
 	// repeated scrapes from double-counting.
 	d.reg.Counter(fabric.MetricLinkFlaps).SetTotal(d.f.Counters().LinkFlaps)
@@ -427,8 +341,8 @@ func (d *daemon) serve(interval time.Duration) {
 		fatal(1, err)
 	}
 	go http.Serve(ln, d.handler())
-	fmt.Fprintf(os.Stderr, "asifmd: managing %q (%s, %d region(s)), serving on http://%s\n",
-		d.cfg.Topology, d.cfg.Kind(), d.regions(), ln.Addr())
+	fmt.Fprintf(os.Stderr, "asifmd: managing %q (%s), serving on http://%s\n",
+		d.cfg.Topology, d.cfg.Kind(), ln.Addr())
 
 	d.scrape() // populate /metrics before the first tick
 	go func() {
@@ -454,190 +368,4 @@ func (d *daemon) serve(interval time.Duration) {
 	fmt.Fprintf(os.Stderr, "asifmd: %d rounds done, fabric quiesced at gen %d; still serving\n",
 		d.rounds, d.rib.Current().Gen)
 	select {} // serve until the process is stopped
-}
-
-// regions reports the simulation width actually in use.
-func (d *daemon) regions() int {
-	if d.g != nil {
-		return d.g.Shards()
-	}
-	return 1
-}
-
-// smokeResult is one subscriber's verdict.
-type smokeResult struct {
-	id  int
-	err error
-}
-
-// runSmoke drives the configured churn while subscribers replay
-// concurrently, then verifies every reconstruction.
-func (d *daemon) runSmoke(subscribers int, jsonOut bool) error {
-	rounds := d.cfg.Rounds
-	if rounds == 0 {
-		rounds = 6
-	}
-
-	// targetGen, once non-zero, is the generation at which a subscriber
-	// stops reading; expected* are set before targetGen's batch is
-	// published, so a subscriber that reached the target can compare.
-	var (
-		targetGen    atomic.Uint64
-		expectedOnce sync.Once
-		expectedWait = make(chan struct{})
-		expectedCan  []byte
-		expectedFP   uint64
-	)
-	verify := func(id int, rep *rib.Replayer) smokeResult {
-		<-expectedWait
-		if got := rep.Canonical("/"); string(got) != string(expectedCan) {
-			return smokeResult{id, fmt.Errorf("subscriber %d: replayed state not byte-identical at gen %d", id, rep.Gen())}
-		}
-		fp, err := rep.Fingerprint()
-		if err != nil {
-			return smokeResult{id, fmt.Errorf("subscriber %d: %w", id, err)}
-		}
-		if fp != expectedFP {
-			return smokeResult{id, fmt.Errorf("subscriber %d: fingerprint %#x, live DB %#x", id, fp, expectedFP)}
-		}
-		return smokeResult{id, nil}
-	}
-
-	results := make(chan smokeResult, subscribers+16)
-	var wg sync.WaitGroup
-
-	// In-process subscribers: the ISSUE's >= 1000 concurrent readers.
-	for i := 0; i < subscribers; i++ {
-		sub := d.rib.Subscribe("/")
-		wg.Add(1)
-		go func(id int, sub *rib.Subscription) {
-			defer wg.Done()
-			defer sub.Close()
-			rep := rib.NewReplayer()
-			for {
-				b, ok := <-sub.Updates()
-				if !ok {
-					results <- smokeResult{id, fmt.Errorf("subscriber %d: stream closed early", id)}
-					return
-				}
-				if err := rep.Apply(b); err != nil {
-					results <- smokeResult{id, fmt.Errorf("subscriber %d: %w", id, err)}
-					return
-				}
-				if t := targetGen.Load(); t > 0 && rep.Gen() >= t {
-					break
-				}
-			}
-			results <- verify(id, rep)
-		}(i, sub)
-	}
-
-	// Real HTTP subscribers exercise the wire path end to end.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	defer ln.Close()
-	go http.Serve(ln, d.handler())
-	const httpSubs = 8
-	for i := 0; i < httpSubs; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			resp, err := http.Get(fmt.Sprintf("http://%s/subscribe?path=/", ln.Addr()))
-			if err != nil {
-				results <- smokeResult{id, err}
-				return
-			}
-			defer resp.Body.Close()
-			sc := bufio.NewScanner(resp.Body)
-			sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-			rep := rib.NewReplayer()
-			for sc.Scan() {
-				var b rib.Batch
-				if err := json.Unmarshal(sc.Bytes(), &b); err != nil {
-					results <- smokeResult{id, fmt.Errorf("http subscriber %d: %w", id, err)}
-					return
-				}
-				if err := rep.Apply(b); err != nil {
-					results <- smokeResult{id, fmt.Errorf("http subscriber %d: %w", id, err)}
-					return
-				}
-				if t := targetGen.Load(); t > 0 && rep.Gen() >= t {
-					results <- verify(id, rep)
-					return
-				}
-			}
-			results <- smokeResult{id, fmt.Errorf("http subscriber %d: stream ended early: %v", id, sc.Err())}
-		}(subscribers + i)
-	}
-
-	// Continuous churn on this goroutine while subscribers stream; a
-	// scrape per round keeps the observability plane live in smoke mode.
-	for i := 0; i < rounds && d.ch != nil; i++ {
-		d.mu.Lock()
-		d.round()
-		d.mu.Unlock()
-		d.scrape()
-	}
-	d.mu.Lock()
-	d.quiesce()
-	d.mu.Unlock()
-
-	// Publish the finish line, then one final audit so every subscriber
-	// receives a batch at or past the target and can stop reading. The
-	// audit rediscovers the identical fabric, so only the generation
-	// number moves — expected values are computed for that final gen.
-	finalGen := d.rib.Current().Gen + 1
-	targetGen.Store(finalGen)
-	d.mu.Lock()
-	d.audit("smoke finish line")
-	d.mu.Unlock()
-	expectedOnce.Do(func() {
-		cur := d.rib.Current()
-		if cur.Gen != finalGen {
-			// The audit installed more than once; re-target to reality.
-			targetGen.Store(cur.Gen)
-		}
-		expectedCan = d.rib.Current().Canonical("/")
-		expectedFP = d.m.DB().Fingerprint()
-		close(expectedWait)
-	})
-
-	wg.Wait()
-	close(results)
-	failures := 0
-	for r := range results {
-		if r.err != nil {
-			failures++
-			if failures <= 10 {
-				fmt.Fprintln(os.Stderr, r.err)
-			}
-		}
-	}
-	d.scrape()
-	s := d.rib.Stats()
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		enc.Encode(map[string]any{
-			"topology":    d.cfg.Topology,
-			"algorithm":   d.cfg.Kind().Slug(),
-			"regions":     d.regions(),
-			"rounds":      d.rounds,
-			"generations": s.Gen,
-			"installs":    s.Installs,
-			"subscribers": subscribers + httpSubs,
-			"resyncs":     s.Resyncs,
-			"fingerprint": s.Fingerprint,
-			"failures":    failures,
-		})
-	} else {
-		fmt.Printf("asifmd smoke: %q %s: %d rounds, %d generations, %d+%d subscribers, %d resyncs, fingerprint %s: %d failures\n",
-			d.cfg.Topology, d.cfg.Kind().Slug(), d.rounds, s.Gen, subscribers, httpSubs, s.Resyncs, s.Fingerprint, failures)
-	}
-	if failures > 0 {
-		return fmt.Errorf("asifmd: %d of %d subscribers failed verification", failures, subscribers+httpSubs)
-	}
-	return nil
 }

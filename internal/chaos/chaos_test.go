@@ -121,6 +121,26 @@ func TestSanitizeAlwaysValidates(t *testing.T) {
 	}
 }
 
+// Sanitize keeps every catalogue fabric but replaces names describing
+// large (or unbuildably huge) fabrics with the bounded random topology.
+func TestSanitizeBoundsNamedFabrics(t *testing.T) {
+	for _, name := range topo.Names() {
+		sc := Sanitize(Scenario{Topology: TopologySpec{Catalogue: name}})
+		if sc.Topology.Catalogue != name {
+			t.Errorf("catalogue fabric %q dropped", name)
+		}
+	}
+	for _, name := range []string{"8-port 20-tree", "dragonfly 16x64", "dragonfly 16x625", "40x40 mesh"} {
+		sc := Sanitize(Scenario{Topology: TopologySpec{Catalogue: name, Switches: 1000}})
+		if sc.Topology.Catalogue != "" || sc.Topology.Switches > 12 {
+			t.Errorf("%q kept as %+v", name, sc.Topology)
+		}
+		if err := sc.Validate(); err != nil {
+			t.Errorf("%q: %v", name, err)
+		}
+	}
+}
+
 func TestExecuteDeterministic(t *testing.T) {
 	for _, p := range Profiles() {
 		sc := Generate(2, p)

@@ -34,11 +34,6 @@ type Options struct {
 	// oracle must notice (delivered-but-unassimilated reports), which is
 	// how the harness tests itself.
 	SkipPI5 int
-	// Regions > 1 selects the conservative region-sharded parallel
-	// simulation path. Scenarios the sharded fabric cannot execute —
-	// scripted events, fault plans, telemetry, spans — silently fall back
-	// to the sequential path; Report.Regions records what actually ran.
-	Regions int
 	// OnDiscovery, when non-nil, observes every completed discovery run
 	// with the manager's live database — the hook a RIB installer uses
 	// to turn scripted churn into a continuous stream of generations
@@ -59,8 +54,7 @@ type Options struct {
 	// scripted events settle: that many rounds, each a Churner storm of
 	// ContinuousOps toggles (default 4) followed by full restoration,
 	// run to quiescence with the database checked against ground truth
-	// at every quiescent point. Continuous scenarios always run on the
-	// sequential path.
+	// at every quiescent point.
 	Continuous    int
 	ContinuousOps int
 }
@@ -146,15 +140,9 @@ type Report struct {
 	DBFingerprint uint64
 	Fingerprint   uint64
 
-	// Processed is the total simulation event count (summed over regions
-	// when sharded); Counters the final fabric accounting. Regions is the
-	// region count the run actually used (1 = sequential, including any
-	// silent fallback from Options.Regions). It is deliberately excluded
-	// from the fingerprint: event counts differ across region counts, so
-	// the cross-R identity contract is DBFingerprint plus the oracle, not
-	// the full metrics fingerprint.
+	// Processed is the total simulation event count; Counters the final
+	// fabric accounting.
 	Processed uint64
-	Regions   int
 	Counters  fabric.Counters
 	// Telemetry and Spans are present only when requested in Options.
 	Telemetry *telemetry.Snapshot
@@ -199,17 +187,8 @@ func Execute(sc Scenario, opt Options) (*Report, error) {
 		horizon = DefaultHorizon
 	}
 
-	regions := opt.Regions
-	if regions > 1 && (len(sc.Events) > 0 || !sc.FaultPlan().Empty() || opt.Telemetry || opt.Spans || opt.Continuous > 0) {
-		regions = 1 // sharded fabrics cannot run these; fall back silently
-	}
-
-	rep := &Report{Scenario: sc, ChurnRun: -1, Regions: 1}
+	rep := &Report{Scenario: sc, ChurnRun: -1}
 	var (
-		e     *sim.Engine
-		group *sim.ShardGroup
-		f     *fabric.Fabric
-
 		reg       *telemetry.Registry
 		sp        *span.Tracer
 		wallStart time.Time
@@ -221,21 +200,8 @@ func Execute(sc Scenario, opt Options) (*Report, error) {
 	if opt.Spans {
 		sp = span.New(spanCap)
 	}
-	rng := sim.NewRNG(sc.Seed*2654435761 + 1)
-	if regions > 1 {
-		part, perr := tp.Partition(regions, tp.Endpoints()[0])
-		if perr != nil {
-			return nil, perr
-		}
-		group = sim.NewShardGroup(part.Count, 0) // lookahead set by NewSharded
-		group.SeedRNGs(sim.NewRNG(sc.Seed*2654435761 + 2))
-		e = group.Engine(0)
-		f, err = fabric.NewSharded(group, part, tp, fabric.Config{}, rng)
-		rep.Regions = part.Count
-	} else {
-		e = sim.NewEngine()
-		f, err = fabric.New(e, tp, fabric.Config{}, rng)
-	}
+	e := sim.NewEngine()
+	f, err := fabric.New(e, tp, fabric.Config{}, sim.NewRNG(sc.Seed*2654435761+1))
 	if err != nil {
 		return nil, err
 	}
@@ -276,14 +242,6 @@ func Execute(sc Scenario, opt Options) (*Report, error) {
 	}
 
 	runPhase := func(name string) bool {
-		if group != nil {
-			group.RunUntil(group.Now().Add(horizon))
-			if group.Pending() > 0 {
-				rep.Hung = name
-				return false
-			}
-			return true
-		}
 		e.RunUntil(e.Now().Add(horizon))
 		if e.Pending() > 0 {
 			rep.Hung = name
@@ -292,11 +250,7 @@ func Execute(sc Scenario, opt Options) (*Report, error) {
 		return true
 	}
 	finish := func() *Report {
-		if group != nil {
-			rep.Processed = group.Processed()
-		} else {
-			rep.Processed = e.Processed
-		}
+		rep.Processed = e.Processed
 		rep.Counters = f.Counters()
 		rep.DBFingerprint = m.DB().Fingerprint()
 		if sp != nil {

@@ -25,6 +25,9 @@ func FuzzScenario(f *testing.F) {
 		}
 		f.Add(b)
 	}
+	// A parseable name for a ~10^13-switch fat-tree: Sanitize must fall
+	// back to a random topology rather than build it.
+	f.Add([]byte(`{"seed":1,"topology":{"catalogue":"8-port 20-tree"},"algorithm":"parallel"}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		raw, err := DecodeJSON(data)
 		if err != nil {

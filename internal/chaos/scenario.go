@@ -211,16 +211,23 @@ func hostSwitch(tp *topo.Topology) topo.NodeID {
 	return sw
 }
 
+// fuzzMaxDevices bounds the named fabrics Sanitize keeps: every
+// catalogue entry (the largest, autofat 24x288, has 324 devices) fits,
+// while a fuzzed name describing a large fabric falls back to the random
+// topology instead of spending the fuzzer's time and memory on it.
+const fuzzMaxDevices = 512
+
 // Sanitize clamps an arbitrary decoded scenario (fuzz input) into an
 // executable one: bounds every numeric field, falls back to a random
-// topology / the parallel algorithm when names do not resolve, and
+// topology / the parallel algorithm when names do not resolve or
+// describe more than fuzzMaxDevices devices, and
 // rewrites the event script through a per-node state machine so that
 // down/up alternate, targets are non-host switches and flaps name real
 // links. Sanitize(sc) always validates.
 func Sanitize(sc Scenario) Scenario {
 	sc.Name = ""
 	if sc.Topology.Catalogue != "" {
-		if _, err := topo.ByName(sc.Topology.Catalogue); err != nil {
+		if d, err := topo.ParseDims(sc.Topology.Catalogue); err != nil || d.Switches+d.Endpoints > fuzzMaxDevices {
 			sc.Topology.Catalogue = ""
 		} else {
 			sc.Topology.Switches, sc.Topology.ExtraLinks = 0, 0

@@ -51,13 +51,6 @@ type Config struct {
 	// device-service child spans, snapshotted into Outcome.Spans.
 	// Enabling it never changes any simulated metric.
 	Spans bool
-	// Regions selects the conservative parallel simulation path: the
-	// fabric is partitioned into up to Regions regions, each with its own
-	// event queue and worker, synchronized with link-latency lookahead.
-	// 0 or 1 is the sequential referee path. Regions > 1 excludes every
-	// run perturbation that cannot be sharded deterministically: tracing,
-	// telemetry, spans, loss and fault plans.
-	Regions int
 }
 
 // Option adjusts a Config under construction in NewConfig.
@@ -108,12 +101,6 @@ func WithSpans() Option {
 	return func(c *Config) { c.Spans = true }
 }
 
-// WithParallelRegions runs the simulation on the region-sharded parallel
-// path with up to r regions (r <= 1 selects the sequential path).
-func WithParallelRegions(r int) Option {
-	return func(c *Config) { c.Regions = r }
-}
-
 // NewConfig builds and validates a run configuration.
 func NewConfig(topology string, alg core.Kind, opts ...Option) (Config, error) {
 	cfg := Config{Topology: topology, Algorithm: alg}
@@ -160,21 +147,6 @@ func (c Config) Validate() error {
 	}
 	if c.RetryBackoff < 0 {
 		return fmt.Errorf("experiment: negative retry backoff %v", c.RetryBackoff)
-	}
-	if c.Regions < 0 {
-		return fmt.Errorf("experiment: negative region count %d", c.Regions)
-	}
-	if c.Regions > 1 {
-		switch {
-		case c.Trace != nil:
-			return fmt.Errorf("experiment: packet tracing is unsupported with parallel regions")
-		case c.Telemetry:
-			return fmt.Errorf("experiment: telemetry is unsupported with parallel regions")
-		case c.Spans:
-			return fmt.Errorf("experiment: span tracing is unsupported with parallel regions")
-		case c.LossRate > 0 || c.Faults != nil:
-			return fmt.Errorf("experiment: fault injection is unsupported with parallel regions")
-		}
 	}
 	return nil
 }

@@ -12,17 +12,18 @@ import (
 
 // RunReportSchema identifies the JSON envelope version emitted by the
 // CLIs. v2 added the optional spans section, v3 the optional regions
-// section; older documents (which predate those sections) still decode.
-// Consumers should reject any other schema string.
+// section (no longer emitted); older documents still decode. Consumers
+// should reject any other schema string.
 const (
 	RunReportSchema   = "asi-discovery/run-report/v3"
 	RunReportSchemaV2 = "asi-discovery/run-report/v2"
 	RunReportSchemaV1 = "asi-discovery/run-report/v1"
 )
 
-// RegionsReport is the v3 envelope's parallel-simulation section: how
-// the conservative region-sharded run actually executed. Regions == 1
-// means the sequential path (the section is usually omitted then).
+// RegionsReport is the v3 envelope's parallel-simulation section, which
+// binaries carrying the since-removed region-sharded simulator wrote for
+// sharded runs. It is decoded and validated so those documents still
+// load, and never emitted.
 type RegionsReport struct {
 	// Regions is the region count the run used after clamping.
 	Regions int `json:"regions"`
@@ -63,9 +64,8 @@ type RunReport struct {
 	// Spans is the run's causal span log when span tracing was enabled
 	// (v2+; a v1 document carrying spans is rejected).
 	Spans *span.Log `json:"spans,omitempty"`
-	// Regions describes the parallel-simulation execution when the run
-	// was region-sharded (v3 only; older documents carrying it are
-	// rejected).
+	// Regions is decode-only: a v3 document from an older binary may
+	// carry it (v1/v2 documents carrying it are rejected).
 	Regions *RegionsReport `json:"regions,omitempty"`
 	// Events counts processed simulation events; EventsPerSec is the
 	// simulator's wall-clock throughput where the caller measured one.
@@ -87,15 +87,6 @@ func NewRunReport(o Outcome, reports ...Report) RunReport {
 		Telemetry:     o.Telemetry,
 		Spans:         o.Spans,
 		Events:        o.Events,
-	}
-	if o.Regions > 1 {
-		rr.Regions = &RegionsReport{
-			Regions:         o.Regions,
-			RegionEvents:    o.RegionEvents,
-			SyncRounds:      o.SyncRounds,
-			LookaheadStalls: o.LookaheadStalls,
-			WallMS:          float64(o.Wall.Microseconds()) / 1000,
-		}
 	}
 	if o.Err != nil {
 		rr.Error = o.Err.Error()

@@ -75,20 +75,6 @@ type Outcome struct {
 	// run (all phases: transient, change, assimilation). Together with
 	// wall-clock time it yields the simulator's events/sec throughput.
 	Events uint64
-	// Wall is the run's wall-clock duration and EventsPerSec the derived
-	// simulator throughput, measured for every run.
-	Wall         time.Duration
-	EventsPerSec float64
-	// Regions is the number of simulation regions actually used (1 on the
-	// sequential path; the requested count is clamped to the switch
-	// count). RegionEvents is the per-region event split, SyncRounds the
-	// number of conservative barrier rounds and LookaheadStalls the
-	// region-rounds that had pending work held back by the lookahead
-	// bound — all zero/nil on the sequential path.
-	Regions         int
-	RegionEvents    []uint64
-	SyncRounds      uint64
-	LookaheadStalls uint64
 	// Telemetry is the run's end-of-run metric snapshot, non-nil only
 	// when Config.Telemetry was set.
 	Telemetry *telemetry.Snapshot
@@ -125,46 +111,23 @@ func RunConfig(cfg Config) (out Outcome) {
 	out.PhysicalNodes = len(tp.Nodes)
 	out.Switches = tp.NumSwitches()
 
-	if cfg.Regions > 1 {
-		// The parallel path is incompatible with instrumentation and fault
-		// injection (Config.Validate rejects these combinations up front;
-		// RunConfig tolerates unvalidated configs).
-		if cfg.Trace != nil || cfg.Telemetry || cfg.Spans || cfg.LossRate > 0 || cfg.Faults != nil {
-			out.Err = fmt.Errorf("experiment: instrumentation and fault injection are unsupported with parallel regions")
-			return out
-		}
-	}
-
+	e := sim.NewEngine()
 	var (
-		e         = sim.NewEngine()
-		group     *sim.ShardGroup
 		reg       *telemetry.Registry
-		wallStart = time.Now()
+		wallStart time.Time
 		f         *fabric.Fabric
 		sp        *span.Tracer
 	)
 	if cfg.Telemetry {
 		reg = telemetry.New()
+		wallStart = time.Now()
 	}
 	if cfg.Spans {
 		sp = span.New(spanCap)
 	}
 	defer func() {
-		out.Regions = 1
-		if group != nil {
-			out.Events = group.Processed()
-			out.Regions = group.Shards()
-			out.RegionEvents = group.RegionProcessed()
-			out.SyncRounds = group.Rounds
-			out.LookaheadStalls = group.Stalls
-		} else {
-			out.Events = e.Processed
-		}
-		totalEvents.Add(out.Events)
-		out.Wall = time.Since(wallStart)
-		if s := out.Wall.Seconds(); s > 0 {
-			out.EventsPerSec = float64(out.Events) / s
-		}
+		out.Events = e.Processed
+		totalEvents.Add(e.Processed)
 		if sp != nil {
 			l := sp.Log()
 			out.Spans = &l
@@ -182,23 +145,7 @@ func RunConfig(cfg Config) (out Outcome) {
 		out.Telemetry = &s
 	}()
 	rng := sim.NewRNG(cfg.Seed*2654435761 + 1)
-	if cfg.Regions > 1 {
-		// The FM host is the first endpoint, below; pinning its region
-		// with the partitioner keeps the manager's engine local.
-		part, perr := tp.Partition(cfg.Regions, tp.Endpoints()[0])
-		if perr != nil {
-			out.Err = perr
-			return out
-		}
-		group = sim.NewShardGroup(part.Count, 0) // lookahead set by NewSharded
-		// Per-shard random streams split off a dedicated root, so the
-		// fabric-level stream (switch choice, faults) stays undisturbed
-		// and R=1 vs R>1 runs draw identically.
-		group.SeedRNGs(sim.NewRNG(cfg.Seed*2654435761 + 2))
-		f, err = fabric.NewSharded(group, part, tp, fabric.Config{DeviceFactor: cfg.DeviceFactor}, rng)
-	} else {
-		f, err = fabric.New(e, tp, fabric.Config{DeviceFactor: cfg.DeviceFactor}, rng)
-	}
+	f, err = fabric.New(e, tp, fabric.Config{DeviceFactor: cfg.DeviceFactor}, rng)
 	if err != nil {
 		out.Err = err
 		return out
@@ -252,21 +199,11 @@ func RunConfig(cfg Config) (out Outcome) {
 		}
 	}
 
-	// run drains the simulation to quiescence on whichever path is
-	// active; after it returns all region clocks agree.
-	run := func() {
-		if group != nil {
-			group.Run()
-		} else {
-			e.Run()
-		}
-	}
-
 	// Transient period: initial discovery and event-route distribution.
 	var results []core.Result
 	m.OnDiscoveryComplete = func(r core.Result) { results = append(results, r) }
 	m.StartDiscovery()
-	run()
+	e.Run()
 	if len(results) != 1 {
 		out.Err = fmt.Errorf("experiment: initial discovery produced %d results", len(results))
 		return out
@@ -278,7 +215,7 @@ func RunConfig(cfg Config) (out Outcome) {
 			distErr = fmt.Errorf("experiment: %d event-route failures", d.Failures)
 		}
 	})
-	run()
+	e.Run()
 	if distErr != nil {
 		out.Err = distErr
 		return out
@@ -301,7 +238,7 @@ func RunConfig(cfg Config) (out Outcome) {
 		out.Err = err
 		return out
 	}
-	run()
+	e.Run()
 	if len(results) < 2 {
 		out.Err = fmt.Errorf("experiment: change on %s (switch %d) triggered no discovery",
 			cfg.Topology, target)

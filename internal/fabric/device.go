@@ -22,14 +22,6 @@ type Device struct {
 	// Config is the device's capability storage served over PI-4.
 	Config *asi.ConfigSpace
 
-	// eng is the engine this device schedules on: the fabric's single
-	// engine sequentially, its region's engine on the sharded path.
-	// region and ctr are the matching partition index and per-region
-	// counter block (0 and &f.counters[0] sequentially).
-	eng    *sim.Engine
-	region int
-	ctr    *Counters
-
 	ports   []devPort
 	alive   bool
 	handler Handler
@@ -106,10 +98,6 @@ func newDevice(f *Fabric, n topo.Node) (*Device, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fabric: node %s: %w", n.Label, err)
 	}
-	region := 0
-	if f.regionOf != nil {
-		region = f.regionOf[n.ID]
-	}
 	d := &Device{
 		f:         f,
 		ID:        n.ID,
@@ -117,17 +105,11 @@ func newDevice(f *Fabric, n topo.Node) (*Device, error) {
 		Label:     n.Label,
 		DSN:       dsn,
 		Config:    cs,
-		eng:       f.Engine,
-		region:    region,
-		ctr:       &f.counters[region],
 		ports:     make([]devPort, n.Ports),
 		alive:     true,
 		electSeen: make(map[electKey]bool),
 	}
-	if f.group != nil {
-		d.eng = f.group.Engine(region)
-	}
-	d.pi4Timer = d.eng.NewTimer(func(*sim.Engine) {
+	d.pi4Timer = f.Engine.NewTimer(func(*sim.Engine) {
 		if d.alive {
 			d.completePI4(d.pi4Cur)
 		}
@@ -204,7 +186,7 @@ func (d *Device) transmit(port int, pkt *asi.Packet) {
 // device's port. The input buffer slot is returned to the sender once the
 // device has routed the packet onward or consumed it.
 func (d *Device) arrive(port int, vc asi.VCID, pkt *asi.Packet, l *link, dirIdx int) {
-	e := d.eng
+	e := d.f.Engine
 	if !d.alive || !l.up {
 		d.f.dropTraced(DropDeadDevice, d, port, pkt)
 		l.returnCredit(dirIdx, vc)
@@ -320,13 +302,13 @@ func (d *Device) multicastForward(port int, pkt *asi.Packet) {
 func (d *Device) consume(port int, pkt *asi.Packet) {
 	d.RxPackets++
 	d.RxBytes += uint64(pkt.WireSize())
-	d.ctr.Delivered[pkt.Header.PI]++
+	d.f.counters.Delivered[pkt.Header.PI]++
 	d.f.traceEvent(trace.Deliver, d, port, pkt, "")
 	if p4, ok := pkt.Payload.(asi.PI4); ok && !p4.Op.IsCompletion() {
 		pend := pendingPI4{req: p4, hdr: pkt.Header, port: port}
 		if d.f.spans != nil {
 			pend.span = pkt.Span
-			pend.queuedAt = d.eng.Now()
+			pend.queuedAt = d.f.Engine.Now()
 		}
 		d.servicePI4(pend)
 		return
@@ -395,7 +377,7 @@ func (d *Device) completePI4(p pendingPI4) {
 		// service interval, both under the owning request; the completion
 		// carries the span ID back so the return hops attribute too.
 		out.Span = p.span
-		now := d.eng.Now()
+		now := d.f.Engine.Now()
 		start := now.Add(-d.f.deviceService())
 		if p.queuedAt < start {
 			d.f.spanComplete(span.KindDevQueue, out, p.queuedAt, start, d, p.port)

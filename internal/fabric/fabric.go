@@ -149,14 +149,8 @@ type HandlerFunc func(arrivalPort int, pkt *asi.Packet)
 // HandlePacket implements Handler.
 func (h HandlerFunc) HandlePacket(arrivalPort int, pkt *asi.Packet) { h(arrivalPort, pkt) }
 
-// Fabric is an instantiated ASI network bound to a simulation engine —
-// or, on the parallel path, to one engine per fabric region coordinated
-// by a sim.ShardGroup.
+// Fabric is an instantiated ASI network bound to a simulation engine.
 type Fabric struct {
-	// Engine is the engine sequential fabrics run on. On a sharded fabric
-	// it aliases region 0's engine (the FM host's region), so management
-	// entities attached to the host schedule on the right queue either
-	// way.
 	Engine *sim.Engine
 	Topo   *topo.Topology
 	cfg    Config
@@ -166,16 +160,7 @@ type Fabric struct {
 	links   []*link
 	byDSN   map[asi.DSN]*Device
 
-	// group coordinates the per-region engines on the parallel path; nil
-	// on the sequential path. regionOf maps NodeID to region (nil when
-	// sequential).
-	group    *sim.ShardGroup
-	regionOf []int
-
-	// counters holds one accounting block per region so hot-path
-	// increments never cross a shard boundary; sequential fabrics use a
-	// single block. Counters() merges them.
-	counters []Counters
+	counters Counters
 	tracer   trace.Recorder
 	faults   *faultState
 	tel      *fabricTelemetry
@@ -191,44 +176,6 @@ type Fabric struct {
 // devices power up alive with their cabled ports active. The topology must
 // validate.
 func New(e *sim.Engine, t *topo.Topology, cfg Config, rng *sim.RNG) (*Fabric, error) {
-	return build(e, nil, nil, t, cfg, rng)
-}
-
-// NewSharded instantiates the fabric across the regions of a partition,
-// one shard-group engine per region, for conservative parallel
-// simulation. Each device schedules exclusively on its region's engine;
-// links whose ends straddle regions hand packets (and credits) over
-// through the group's barrier-synchronized mailboxes, with the cable
-// propagation delay as the lookahead. The group's lookahead and region
-// distances are configured here from the partition.
-//
-// The sharded path trades instrumentation for parallelism: packet
-// tracing, telemetry, span tracing, fault plans and the traffic
-// generator are unsupported (the respective setters reject them), so the
-// simulated discovery behaviour — and the resulting FM database — is
-// bit-identical to the sequential path.
-func NewSharded(g *sim.ShardGroup, part *topo.Partition, t *topo.Topology, cfg Config, rng *sim.RNG) (*Fabric, error) {
-	if part.Count != g.Shards() {
-		return nil, fmt.Errorf("fabric: partition has %d regions, shard group %d", part.Count, g.Shards())
-	}
-	if len(part.Region) != len(t.Nodes) {
-		return nil, fmt.Errorf("fabric: partition covers %d nodes, topology has %d", len(part.Region), len(t.Nodes))
-	}
-	f, err := build(g.Engine(0), g, part.Region, t, cfg, rng)
-	if err != nil {
-		return nil, err
-	}
-	g.SetLookahead(f.cfg.Propagation)
-	g.SetDistances(part.RegionDistances(t))
-	for _, li := range part.CutLinks {
-		f.links[li].markCut()
-	}
-	return f, nil
-}
-
-// build is the shared constructor; group and regionOf are nil on the
-// sequential path.
-func build(e *sim.Engine, group *sim.ShardGroup, regionOf []int, t *topo.Topology, cfg Config, rng *sim.RNG) (*Fabric, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
@@ -236,22 +183,13 @@ func build(e *sim.Engine, group *sim.ShardGroup, regionOf []int, t *topo.Topolog
 		rng = sim.NewRNG(1)
 	}
 	f := &Fabric{
-		Engine:   e,
-		Topo:     t,
-		cfg:      cfg.withDefaults(),
-		rng:      rng,
-		group:    group,
-		regionOf: regionOf,
-		byDSN:    make(map[asi.DSN]*Device),
+		Engine: e,
+		Topo:   t,
+		cfg:    cfg.withDefaults(),
+		rng:    rng,
+		byDSN:  make(map[asi.DSN]*Device),
 	}
-	regions := 1
-	if group != nil {
-		regions = group.Shards()
-	}
-	f.counters = make([]Counters, regions)
-	for i := range f.counters {
-		f.counters[i].Delivered = make(map[asi.PI]uint64)
-	}
+	f.counters.Delivered = make(map[asi.PI]uint64)
 	for _, n := range t.Nodes {
 		d, err := newDevice(f, n)
 		if err != nil {
@@ -274,23 +212,6 @@ func build(e *sim.Engine, group *sim.ShardGroup, regionOf []int, t *topo.Topolog
 	return f, nil
 }
 
-// Sharded reports whether the fabric runs on the parallel region-sharded
-// path.
-func (f *Fabric) Sharded() bool { return f.group != nil }
-
-// Group returns the shard group a sharded fabric runs on (nil when
-// sequential).
-func (f *Fabric) Group() *sim.ShardGroup { return f.group }
-
-// Region returns the region a node was partitioned into (0 when
-// sequential).
-func (f *Fabric) Region(id topo.NodeID) int {
-	if f.regionOf == nil {
-		return 0
-	}
-	return f.regionOf[id]
-}
-
 // Config returns the fabric's effective configuration.
 func (f *Fabric) Config() Config { return f.cfg }
 
@@ -306,24 +227,12 @@ func (f *Fabric) DeviceByDSN(dsn asi.DSN) (*Device, bool) {
 	return d, ok
 }
 
-// Counters returns a snapshot of fabric-wide accounting, merged across
-// regions on the sharded path. Every field is a sum, so the merge is
-// independent of region count.
+// Counters returns a snapshot of fabric-wide accounting.
 func (f *Fabric) Counters() Counters {
-	var c Counters
-	c.Delivered = make(map[asi.PI]uint64, len(f.counters[0].Delivered))
-	for i := range f.counters {
-		r := &f.counters[i]
-		c.TxPackets += r.TxPackets
-		c.TxBytes += r.TxBytes
-		c.FaultDelays += r.FaultDelays
-		c.LinkFlaps += r.LinkFlaps
-		for k, v := range r.Delivered {
-			c.Delivered[k] += v
-		}
-		for j := range r.Drops {
-			c.Drops[j] += r.Drops[j]
-		}
+	c := f.counters
+	c.Delivered = make(map[asi.PI]uint64, len(f.counters.Delivered))
+	for k, v := range f.counters.Delivered {
+		c.Delivered[k] = v
 	}
 	return c
 }
@@ -370,14 +279,8 @@ func (f *Fabric) deviceService() sim.Duration {
 }
 
 // SetTracer attaches a packet-event recorder; nil detaches it. Tracing
-// costs nothing when detached. Sharded fabrics reject tracers: trace
-// order would depend on region interleaving.
-func (f *Fabric) SetTracer(t trace.Recorder) {
-	if t != nil && f.group != nil {
-		panic("fabric: packet tracing is unsupported with parallel regions")
-	}
-	f.tracer = t
-}
+// costs nothing when detached.
+func (f *Fabric) SetTracer(t trace.Recorder) { f.tracer = t }
 
 // tracing reports whether a recorder is attached. Hot paths check it
 // before building event details, so detached tracing never formats.
@@ -407,13 +310,9 @@ func (f *Fabric) traceEvent(kind trace.Kind, d *Device, port int, pkt *asi.Packe
 	f.tracer.Record(ev)
 }
 
-// drop accounts a discarded packet with no device context (region 0;
-// only reachable on the sequential path).
-func (f *Fabric) drop(r DropReason) { f.dropIn(&f.counters[0], r) }
-
-// dropIn accounts a discarded packet against a specific region's block.
-func (f *Fabric) dropIn(c *Counters, r DropReason) {
-	c.Drops[r]++
+// drop accounts a discarded packet.
+func (f *Fabric) drop(r DropReason) {
+	f.counters.Drops[r]++
 	if f.tel != nil {
 		f.tel.drops.Inc(int(r))
 	}
@@ -421,7 +320,7 @@ func (f *Fabric) dropIn(c *Counters, r DropReason) {
 
 // dropTraced accounts and traces a discarded packet with context.
 func (f *Fabric) dropTraced(r DropReason, d *Device, port int, pkt *asi.Packet) {
-	f.dropIn(d.ctr, r)
+	f.drop(r)
 	f.traceEvent(trace.Drop, d, port, pkt, r.String())
 	f.spanDrop(r, d, port, pkt)
 }

@@ -114,9 +114,6 @@ func (f *Fabric) LinkAt(id topo.NodeID, port int) (int, bool) {
 // randomness is split off the fabric's RNG at installation time, so the
 // call itself is part of the reproducible run description.
 func (f *Fabric) SetFaultPlan(p FaultPlan) error {
-	if f.group != nil && !p.Empty() {
-		return fmt.Errorf("fabric: fault plans are unsupported with parallel regions")
-	}
 	for _, fl := range p.Flaps {
 		if fl.Link < 0 || fl.Link >= len(f.links) {
 			return fmt.Errorf("fabric: flap references link %d of %d", fl.Link, len(f.links))
@@ -142,9 +139,6 @@ func (f *Fabric) SetFaultPlan(p FaultPlan) error {
 // transient period's length is known; the flap semantics are identical to
 // a FaultPlan flap.
 func (f *Fabric) FlapLink(link int, at sim.Time, d sim.Duration) error {
-	if f.group != nil {
-		return fmt.Errorf("fabric: link flaps are unsupported with parallel regions")
-	}
 	if link < 0 || link >= len(f.links) {
 		return fmt.Errorf("fabric: flap references link %d of %d", link, len(f.links))
 	}
@@ -162,7 +156,7 @@ func (f *Fabric) scheduleFlap(fl Flap) {
 		if !lk.up {
 			return // already down (e.g. hot removal); nothing to flap
 		}
-		f.counters[0].LinkFlaps++
+		f.counters.LinkFlaps++
 		if f.tracing() {
 			f.traceEvent(trace.Fault, lk.a, lk.aPort, nil, fmt.Sprintf("flap-down link=%d for=%v", fl.Link, fl.Duration))
 		}
@@ -225,7 +219,7 @@ func (f *Fabric) faultDelay(l *link) sim.Duration {
 	if extra <= 0 {
 		extra = 1 // at least one picosecond late
 	}
-	f.counters[0].FaultDelays++
+	f.counters.FaultDelays++
 	if f.tel != nil {
 		f.tel.faultDelays.Inc()
 	}

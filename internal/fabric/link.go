@@ -17,11 +17,7 @@ type link struct {
 	aPort int
 	bPort int
 	up    bool
-	// cut marks a link whose ends live in different regions of a sharded
-	// fabric: deliveries and credit returns cross via the shard group's
-	// mailboxes instead of the local engine.
-	cut  bool
-	half [2]halfLink // [0]: a->b, [1]: b->a
+	half  [2]halfLink // [0]: a->b, [1]: b->a
 }
 
 // halfLink is one direction of a link. Credits track the free receive
@@ -39,18 +35,12 @@ type halfLink struct {
 
 	// kickTimer re-runs the transmit scheduler when the serializer frees
 	// while packets wait; kickFn is the unconditional post-transmit kick.
-	// Both live on the sender's engine.
 	kickTimer *sim.Timer
 	kickFn    sim.Handler
 	// deliverFn hands an arrived flight to the receiver; freeFlights is
-	// the pool it recycles through. Cut links instead use
-	// crossDeliverFn/crossCreditFn, which run on the receiving region's
-	// engine with freshly allocated flights (the pool is single-region
-	// state).
-	deliverFn    sim.ArgHandler
-	crossDeliver sim.ArgHandler
-	crossCredit  sim.ArgHandler
-	freeFlights  *flight
+	// the pool it recycles through.
+	deliverFn   sim.ArgHandler
+	freeFlights *flight
 }
 
 // flight is one packet in transit on a half link: the per-packet state an
@@ -75,33 +65,10 @@ func newLink(f *Fabric, a *Device, aPort int, b *Device, bPort int) *link {
 			sender = b
 		}
 		h.kickFn = func(*sim.Engine) { l.kick(sender) }
-		h.kickTimer = sender.eng.NewTimer(h.kickFn)
+		h.kickTimer = f.Engine.NewTimer(h.kickFn)
 		h.deliverFn = func(_ *sim.Engine, arg any) { l.deliver(dirIdx, arg.(*flight)) }
 	}
 	return l
-}
-
-// markCut binds the cross-region handoff handlers of a link that
-// straddles a shard boundary. Deliveries arrive as fresh flight records
-// (never pooled: the pool belongs to the sending region) and credits
-// return as posted VC values; both run on the engine of the region they
-// land in.
-func (l *link) markCut() {
-	l.cut = true
-	for i := range l.half {
-		dirIdx := i
-		l.half[i].crossDeliver = func(_ *sim.Engine, arg any) {
-			fl := arg.(*flight)
-			receiver, rxPort := l.b, l.bPort
-			if dirIdx == 1 {
-				receiver, rxPort = l.a, l.aPort
-			}
-			receiver.arrive(rxPort, fl.vc, fl.pkt, l, dirIdx)
-		}
-		l.half[i].crossCredit = func(_ *sim.Engine, arg any) {
-			l.applyCredit(dirIdx, arg.(asi.VCID))
-		}
-	}
 }
 
 // halfFrom returns the transmit direction index for the given sender.
@@ -159,7 +126,7 @@ func (l *link) setUp(up bool) {
 // serializer if idle.
 func (l *link) send(d *Device, pkt *asi.Packet) {
 	if !l.up {
-		l.f.dropIn(d.ctr, DropInactivePort)
+		l.f.drop(DropInactivePort)
 		l.f.spanDrop(DropInactivePort, d, l.portOf(d), pkt)
 		return
 	}
@@ -185,7 +152,7 @@ var vcDetails = [asi.NumVCs]string{"vc=0", "vc=1", "vc=2"}
 // wins arbitration, which is the property the paper relies on when it
 // states application traffic scarcely influences discovery time.
 func (l *link) kick(d *Device) {
-	e := d.eng
+	e := l.f.Engine
 	dirIdx := l.halfFrom(d)
 	h := &l.half[dirIdx]
 	if h.busyUntil > e.Now() {
@@ -229,31 +196,22 @@ func (l *link) kick(d *Device) {
 		}
 		ser := l.f.serialization(pkt.WireSize())
 		h.busyUntil = e.Now().Add(ser)
-		d.ctr.TxPackets++
-		d.ctr.TxBytes += uint64(pkt.WireSize())
+		l.f.counters.TxPackets++
+		l.f.counters.TxBytes += uint64(pkt.WireSize())
 		extra := l.f.faultDelay(l)
 		arrive := ser + l.f.cfg.Propagation + extra
 		if l.f.spans != nil {
 			l.f.spanWire(pkt, d, l.portOf(d), arrive, extra)
 		}
-		if l.cut {
-			// Cross-region hop: the arrival is at least Propagation (the
-			// group lookahead) in the future, so posting it through the
-			// mailbox is always conservative-safe.
-			receiver, _ := l.otherEnd(d)
-			l.f.group.Post(d.region, receiver.region, e.Now().Add(arrive),
-				h.crossDeliver, &flight{pkt: pkt, vc: asi.VCID(vc)})
+		fl := h.freeFlights
+		if fl == nil {
+			fl = &flight{}
 		} else {
-			fl := h.freeFlights
-			if fl == nil {
-				fl = &flight{}
-			} else {
-				h.freeFlights = fl.next
-			}
-			fl.pkt = pkt
-			fl.vc = asi.VCID(vc)
-			e.AfterArg(arrive, h.deliverFn, fl)
+			h.freeFlights = fl.next
 		}
+		fl.pkt = pkt
+		fl.vc = asi.VCID(vc)
+		e.AfterArg(arrive, h.deliverFn, fl)
 		// Serializer free again at busyUntil; try the next packet.
 		e.At(h.busyUntil, h.kickFn)
 		return
@@ -277,29 +235,8 @@ func (l *link) deliver(dirIdx int, fl *flight) {
 
 // returnCredit hands a buffer slot back to the sender of the given
 // direction and re-runs its transmit scheduler, since a packet may have
-// been blocked on credits alone. On a cut link the credit rides back
-// across the shard boundary with the cable propagation delay — the
-// physical latency of the credit DLLP, and exactly the lookahead the
-// conservative protocol needs; sequential links return it instantly, as
-// before, so R=1 semantics are untouched.
+// been blocked on credits alone.
 func (l *link) returnCredit(dirIdx int, vc asi.VCID) {
-	if !l.up {
-		return
-	}
-	if l.cut {
-		sender, receiver := l.a, l.b
-		if dirIdx == 1 {
-			sender, receiver = l.b, l.a
-		}
-		l.f.group.Post(receiver.region, sender.region,
-			receiver.eng.Now().Add(l.f.cfg.Propagation), l.half[dirIdx].crossCredit, vc)
-		return
-	}
-	l.applyCredit(dirIdx, vc)
-}
-
-// applyCredit restores a buffer slot on the sender side and re-kicks it.
-func (l *link) applyCredit(dirIdx int, vc asi.VCID) {
 	if !l.up {
 		return
 	}

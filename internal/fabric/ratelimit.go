@@ -41,7 +41,7 @@ func (d *Device) SetInjectionRate(gbps float64, burstBytes int) {
 		bytesPerSec: gbps * 1e9 / 8,
 		burst:       float64(burstBytes),
 		tokens:      float64(burstBytes),
-		last:        d.eng.Now(),
+		last:        d.f.Engine.Now(),
 	}
 }
 
@@ -55,7 +55,7 @@ func limited(pkt *asi.Packet) bool {
 // immediately when tokens allow and queueing otherwise.
 func (d *Device) injectLimited(pkt *asi.Packet) {
 	l := d.limiter
-	l.refillAt(d.eng.Now())
+	l.refillAt(d.f.Engine.Now())
 	size := float64(pkt.WireSize())
 	if len(l.queue) == 0 && l.tokens >= size {
 		l.tokens -= size
@@ -93,12 +93,12 @@ func (d *Device) armDrain() {
 		}
 	}
 	l.armed = true
-	d.eng.After(wait, func(*sim.Engine) {
+	d.f.Engine.After(wait, func(*sim.Engine) {
 		l.armed = false
 		if d.limiter != l || !d.alive {
 			return
 		}
-		l.refillAt(d.eng.Now())
+		l.refillAt(d.f.Engine.Now())
 		for len(l.queue) > 0 {
 			pkt := l.queue[0]
 			size := float64(pkt.WireSize())

@@ -19,9 +19,6 @@ import (
 // the same tracer the Manager was built with (core.Options.Spans) so
 // fabric spans land under the FM's request spans.
 func (f *Fabric) SetSpanTracer(t *span.Tracer) {
-	if t != nil && f.group != nil {
-		panic("fabric: span tracing is unsupported with parallel regions")
-	}
 	f.spans = t
 	if t != nil {
 		f.linkQueued = make(map[*asi.Packet]sim.Time)

@@ -41,9 +41,6 @@ func (f *Fabric) EnableTelemetry(reg *telemetry.Registry) {
 		f.tel = nil
 		return
 	}
-	if f.group != nil {
-		panic("fabric: telemetry is unsupported with parallel regions")
-	}
 	f.tel = &fabricTelemetry{
 		linkTx:      reg.CounterVec(MetricLinkTx, len(f.links)),
 		linkStall:   reg.CounterVec(MetricLinkStall, len(f.links)),
@@ -60,5 +57,5 @@ func (f *Fabric) FinishTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
-	reg.Counter(MetricLinkFlaps).Add(f.Counters().LinkFlaps)
+	reg.Counter(MetricLinkFlaps).Add(f.counters.LinkFlaps)
 }

@@ -47,11 +47,6 @@ func NewTrafficGen(f *Fabric, rng *sim.RNG, meanGap sim.Duration, packetBytes in
 
 // Start begins injection on every endpoint and keeps going until Stop.
 func (g *TrafficGen) Start() {
-	if g.f.group != nil {
-		// The generator schedules on one engine and draws one RNG stream;
-		// neither survives region sharding.
-		panic("fabric: traffic generation is unsupported with parallel regions")
-	}
 	g.running = true
 	for _, ep := range g.eps {
 		g.scheduleNext(ep)

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // A reader that consumes promptly lags zero generations; one that never
@@ -93,6 +94,12 @@ func TestStalenessAcrossOverflowResync(t *testing.T) {
 	}
 	if resyncs.Load() == 0 {
 		t.Error("no resync event fired")
+	}
+	// The pump records a delivery only after the channel send returns,
+	// so the reader can get here first: wait, boundedly, for the record.
+	deadline := time.Now().Add(5 * time.Second)
+	for r.Stats().Staleness.Max != 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
 	}
 	if s := r.Stats(); s.Staleness.Max != 0 {
 		t.Errorf("drained subscriber still lags %d generations", s.Staleness.Max)

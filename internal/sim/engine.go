@@ -215,33 +215,6 @@ func (e *Engine) RunUntil(deadline Time) Time {
 	return e.now
 }
 
-// NextEventTime returns the timestamp of the earliest pending event, and
-// whether one exists. The shard-group coordinator polls it to compute
-// conservative execution horizons; it never modifies the queue.
-func (e *Engine) NextEventTime() (Time, bool) {
-	if len(e.heap) == 0 {
-		return 0, false
-	}
-	return e.arena[e.heap[0]].at, true
-}
-
-// RunBefore processes events with timestamps strictly below limit, in
-// order, until none remain or Stop is called. Unlike RunUntil it never
-// advances the clock past the last processed event: in the sharded
-// parallel path the clock of a quiet region is owned by the ShardGroup
-// coordinator, which advances it only once every region has agreed the
-// span is safe.
-func (e *Engine) RunBefore(limit Time) Time {
-	e.stopped = false
-	for len(e.heap) > 0 && !e.stopped {
-		if e.arena[e.heap[0]].at >= limit {
-			break
-		}
-		e.fire(e.popMin())
-	}
-	return e.now
-}
-
 // Step processes exactly one event, if any, and reports whether one fired.
 func (e *Engine) Step() bool {
 	if len(e.heap) == 0 {

@@ -72,6 +72,144 @@ func ByName(name string) (*Topology, error) {
 	return ParseName(name)
 }
 
+// MaxParsedSwitches and MaxParsedPorts cap the fabrics ParseName builds,
+// so a mistyped or hostile name ("8-port 20-tree" describes ~10^13
+// switches) fails before anything is allocated. The switch cap admits
+// dragonfly 16x625, the largest ext-scale fabric (10,000 switches); the
+// port cap, summed over every device's ports, also bounds the device and
+// link counts.
+const (
+	MaxParsedSwitches = 1 << 14
+	MaxParsedPorts    = 1 << 20
+)
+
+// Dims is the size of a parametric fabric: its switch and endpoint
+// counts and the port slots summed over all of its devices.
+type Dims struct {
+	Switches, Endpoints, Ports int
+}
+
+// family is a parametric topology family ParseName understands.
+type family int
+
+const (
+	familyDragonfly family = iota
+	familyAutofat
+	familyFatTree
+	familyMesh
+	familyTorus
+)
+
+// parsedName is a recognised parametric name: its family, the family's
+// two parameters and the size they describe.
+type parsedName struct {
+	fam  family
+	a, b int
+	Dims
+}
+
+// sizeLimit is where size arithmetic saturates: any count at or above it
+// already exceeds both caps, so satMul and satAdd never overflow.
+const sizeLimit = MaxParsedPorts + 1
+
+func satMul(a, b int) int {
+	if a != 0 && b > sizeLimit/a {
+		return sizeLimit
+	}
+	return min(a*b, sizeLimit)
+}
+
+func satAdd(a, b int) int { return min(a+b, sizeLimit) }
+
+func satPow(b, e int) int {
+	r := 1
+	for i := 0; i < e && r < sizeLimit && b > 1; i++ {
+		r = satMul(r, b)
+	}
+	return r
+}
+
+// parseName recognises a parametric family name, checks its parameters'
+// ranges and sizes the fabric without building it.
+func parseName(name string) (parsedName, error) {
+	var p parsedName
+	var kind string
+	switch {
+	case scan(name, "dragonfly %dx%d", &p.a, &p.b):
+		if p.a < 2 || p.b < 2 {
+			return p, fmt.Errorf("topo: dragonfly %dx%d needs K >= 2 and M >= 2", p.a, p.b)
+		}
+		p.fam = familyDragonfly
+	case scan(name, "autofat %dx%d", &p.a, &p.b):
+		p.fam = familyAutofat
+	case scan(name, "%d-port %d-tree", &p.a, &p.b):
+		if p.a < 2 || p.a%2 != 0 || p.b < 2 {
+			return p, fmt.Errorf("topo: fat-tree %q needs an even port count >= 2 and depth >= 2", name)
+		}
+		p.fam = familyFatTree
+	case scan(name, "%dx%d %s", &p.a, &p.b, &kind) && (kind == "mesh" || kind == "torus"):
+		if p.a < 2 || p.b < 2 {
+			return p, fmt.Errorf("topo: grid %q needs both dimensions >= 2", name)
+		}
+		p.fam = familyMesh
+		if kind == "torus" {
+			p.fam = familyTorus
+		}
+	default:
+		return p, fmt.Errorf("topo: unknown topology %q (catalogue names, or parametric: %q, %q, %q, %q, %q)",
+			name, "RxC mesh", "RxC torus", "M-port N-tree", "dragonfly KxM", "autofat PxN")
+	}
+	tooLarge := fmt.Errorf("topo: %q exceeds the size cap (%d switches, %d port slots)", name, MaxParsedSwitches, MaxParsedPorts)
+	// Every parameter is bounded by the switch or port count it implies,
+	// so capping the parameters first keeps the arithmetic below small.
+	if p.a >= sizeLimit || p.b >= sizeLimit {
+		return p, tooLarge
+	}
+	a, b := p.a, p.b
+	switch p.fam {
+	case familyDragonfly:
+		h := (b - 2 + a) / a
+		p.Switches = satMul(a, b)
+		p.Endpoints = p.Switches
+		p.Ports = satAdd(satMul(p.Switches, (a-1)+h+EndpointReserve), p.Endpoints)
+	case familyAutofat:
+		design, err := AutoFatTreeSpec{Ports: a, Endpoints: b}.Design()
+		if err != nil {
+			return p, err
+		}
+		p.Switches = design.Leaves + design.Spines
+		p.Endpoints = b
+		p.Ports = satAdd(satMul(p.Switches, a), p.Endpoints)
+	case familyFatTree:
+		h := a / 2
+		p.Switches = satMul(2*b-1, satPow(h, b-1))
+		p.Endpoints = satMul(2, satPow(h, b))
+		p.Ports = satAdd(satMul(p.Switches, a), p.Endpoints)
+	default:
+		p.Switches = satMul(a, b)
+		p.Endpoints = p.Switches
+		p.Ports = satAdd(satMul(p.Switches, GridPorts), p.Endpoints)
+	}
+	if p.Switches > MaxParsedSwitches || p.Ports > MaxParsedPorts {
+		return p, tooLarge
+	}
+	return p, nil
+}
+
+// scan reports whether name matches format, filling every operand.
+func scan(name, format string, operands ...any) bool {
+	n, _ := fmt.Sscanf(name, format, operands...)
+	return n == len(operands)
+}
+
+// ParseDims sizes the fabric a parametric family name describes without
+// building it. It rejects what ParseName rejects, including fabrics above
+// MaxParsedSwitches or MaxParsedPorts.
+func ParseDims(name string) (Dims, error) {
+	p, err := parseName(name)
+	return p.Dims, err
+}
+
 // ParseName builds a topology from a parametric family name, so tools and
 // scenario specs can reference arbitrary instances without a catalogue
 // entry:
@@ -81,39 +219,25 @@ func ByName(name string) (*Topology, error) {
 //	"M-port N-tree"   FatTree(M, N), M even >= 2, N >= 2
 //	"dragonfly KxM"   Dragonfly(K, M), K and M >= 2
 //	"autofat PxN"     AutoFatTree of radix P attaching N endpoints
+//
+// Fabrics above MaxParsedSwitches or MaxParsedPorts are refused.
 func ParseName(name string) (*Topology, error) {
-	var a, b int
-	if n, _ := fmt.Sscanf(name, "dragonfly %dx%d", &a, &b); n == 2 {
-		if a < 2 || b < 2 {
-			return nil, fmt.Errorf("topo: dragonfly %dx%d needs K >= 2 and M >= 2", a, b)
-		}
-		return Dragonfly(a, b), nil
+	p, err := parseName(name)
+	if err != nil {
+		return nil, err
 	}
-	if n, _ := fmt.Sscanf(name, "autofat %dx%d", &a, &b); n == 2 {
-		spec := AutoFatTreeSpec{Ports: a, Endpoints: b}
-		if _, err := spec.Design(); err != nil {
-			return nil, err
-		}
-		return AutoFatTree(spec), nil
+	switch p.fam {
+	case familyDragonfly:
+		return Dragonfly(p.a, p.b), nil
+	case familyAutofat:
+		return AutoFatTree(AutoFatTreeSpec{Ports: p.a, Endpoints: p.b}), nil
+	case familyFatTree:
+		return FatTree(p.a, p.b), nil
+	case familyMesh:
+		return Mesh(p.a, p.b), nil
+	default:
+		return Torus(p.a, p.b), nil
 	}
-	if n, _ := fmt.Sscanf(name, "%d-port %d-tree", &a, &b); n == 2 {
-		if a < 2 || a%2 != 0 || b < 2 {
-			return nil, fmt.Errorf("topo: fat-tree %q needs an even port count >= 2 and depth >= 2", name)
-		}
-		return FatTree(a, b), nil
-	}
-	var kind string
-	if n, _ := fmt.Sscanf(name, "%dx%d %s", &a, &b, &kind); n == 3 && (kind == "mesh" || kind == "torus") {
-		if a < 2 || b < 2 {
-			return nil, fmt.Errorf("topo: grid %q needs both dimensions >= 2", name)
-		}
-		if kind == "mesh" {
-			return Mesh(a, b), nil
-		}
-		return Torus(a, b), nil
-	}
-	return nil, fmt.Errorf("topo: unknown topology %q (catalogue names, or parametric: %q, %q, %q, %q, %q)",
-		name, "RxC mesh", "RxC torus", "M-port N-tree", "dragonfly KxM", "autofat PxN")
 }
 
 // Names lists the catalogue topology names in order: Table 1 first, then

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -334,5 +335,57 @@ func TestReachableFromSubset(t *testing.T) {
 func TestStringOutputs(t *testing.T) {
 	if Mesh(3, 3).String() == "" || Table1()[0].Total() != 18 {
 		t.Error("String/Total broken")
+	}
+}
+
+// ParseDims must agree with what ParseName builds, for every catalogue
+// entry and a spread of parametric names.
+func TestParseDimsMatchesBuild(t *testing.T) {
+	names := append(Names(), "12x12 torus", "5x4 mesh", "6-port 2-tree", "2-port 5-tree",
+		"dragonfly 6x13", "autofat 16x100", "autofat 8x5", "dragonfly 16x65")
+	for _, name := range names {
+		d, err := ParseDims(name)
+		if err != nil {
+			t.Errorf("ParseDims(%q): %v", name, err)
+			continue
+		}
+		tp, err := ParseName(name)
+		if err != nil {
+			t.Errorf("ParseName(%q): %v", name, err)
+			continue
+		}
+		ports := 0
+		for _, n := range tp.Nodes {
+			ports += n.Ports
+		}
+		if got := (Dims{tp.NumSwitches(), tp.NumEndpoints(), ports}); got != d {
+			t.Errorf("%q: ParseDims %+v, built %+v", name, d, got)
+		}
+	}
+}
+
+// ParseName refuses oversized fabrics before allocating them; the caps
+// still admit the largest ext-scale dragonfly.
+func TestParseNameRefusesOversize(t *testing.T) {
+	if d, err := ParseDims("dragonfly 16x625"); err != nil || d.Switches != 10000 {
+		t.Errorf("dragonfly 16x625: %+v, %v", d, err)
+	}
+	for _, name := range []string{
+		"8-port 20-tree",
+		"2-port 100000000-tree",
+		"16-port 9223372036854775807-tree",
+		"dragonfly 5000x2",
+		"dragonfly 9223372036854775807x2",
+		"dragonfly 200x200",
+		"autofat 2000000x3",
+		"autofat 4x2000000",
+		"200x200 mesh",
+		"4611686018427387904x4 torus",
+	} {
+		if tp, err := ParseName(name); err == nil {
+			t.Errorf("ParseName(%q) built %d nodes", name, len(tp.Nodes))
+		} else if !strings.Contains(err.Error(), "size cap") {
+			t.Errorf("ParseName(%q): %v, want a size-cap error", name, err)
+		}
 	}
 }
